@@ -17,7 +17,7 @@ E2E_STORE_DIR ?= /tmp/comet-e2e-store
 # failure.
 E2E_ARTIFACT_DIR ?= /tmp/comet-e2e-artifacts
 
-.PHONY: build test test-race test-e2e test-cluster verify-store examples bench bench-smoke bench-check bench-baseline fuzz-smoke lint vet staticcheck fmt fmt-check
+.PHONY: build test test-bench-module test-race test-e2e test-cluster verify-store examples bench bench-smoke bench-check bench-baseline fuzz-smoke lint vet staticcheck fmt fmt-check
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -33,6 +33,12 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# cometbench/ is a nested module (the engine benchmark, which imports
+# internal/service and the engine), so go test ./... never compiles it:
+# vet and test it on its own so a refactor cannot break it unnoticed.
+test-bench-module:
+	cd cometbench && $(GO) vet ./... && $(GO) test .
 
 # End-to-end service smoke tests: build the real comet-serve binary (with
 # the race detector), start it on a random port, drive the HTTP API, and

@@ -180,7 +180,7 @@ func TestClusterE2ETraceSpansProcesses(t *testing.T) {
 // observability plane end to end with real processes: a coordinator and
 // two workers run one traced corpus job, GET /debug/traces/{id}?cluster=1
 // on the coordinator returns ONE federated trace containing spans from
-// all three processes, the comet-trace CLI renders it, and SIGQUITing a
+// all three processes, comet-top -trace renders it, and SIGQUITing a
 // worker dumps its flight recorder as parseable JSON on stderr.
 func TestClusterE2EFederatedTraceAndFlight(t *testing.T) {
 	if testing.Short() {
@@ -303,14 +303,14 @@ func TestClusterE2EFederatedTraceAndFlight(t *testing.T) {
 		}
 	}
 
-	// The comet-trace CLI renders the same federated view.
-	traceBin := filepath.Join(t.TempDir(), "comet-trace")
-	if out, err := exec.Command("go", "build", "-o", traceBin, "../comet-trace").CombinedOutput(); err != nil {
-		t.Fatalf("building comet-trace: %v\n%s", err, out)
+	// comet-top -trace renders the same federated view.
+	topBin := filepath.Join(t.TempDir(), "comet-top")
+	if out, err := exec.Command("go", "build", "-o", topBin, "../comet-top").CombinedOutput(); err != nil {
+		t.Fatalf("building comet-top: %v\n%s", err, out)
 	}
-	out, err := exec.Command(traceBin, co.base, traceID).CombinedOutput()
+	out, err := exec.Command(topBin, "-trace", traceID, co.base).CombinedOutput()
 	if err != nil {
-		t.Fatalf("comet-trace: %v\n%s", err, out)
+		t.Fatalf("comet-top -trace: %v\n%s", err, out)
 	}
 	rendered := string(out)
 	for _, want := range []string{
@@ -318,7 +318,7 @@ func TestClusterE2EFederatedTraceAndFlight(t *testing.T) {
 		"process=coordinator", "process=" + w1.base, "process=" + w2.base, "▐",
 	} {
 		if !strings.Contains(rendered, want) {
-			t.Errorf("comet-trace output missing %q:\n%s", want, rendered)
+			t.Errorf("comet-top -trace output missing %q:\n%s", want, rendered)
 		}
 	}
 

@@ -33,16 +33,17 @@
 // Observability: -log-format/-log-level select structured (slog) text or
 // JSON logs; -trace-sample controls request tracing (hot routes sample
 // 1-in-N, slow routes always trace, ?trace=1 forces it); -debug-addr
-// serves net/http/pprof on a separate listener. The flight recorder
-// (-flight-ring) keeps a bounded black box of every request, lease, and
-// job transition regardless of sampling; SIGQUIT dumps it to stderr as
-// JSON and exits, and `comet-trace <url> <trace-id>` renders a (cluster-
-// federated) trace as a span tree. Requests slower than -trace-slow-ms
-// (or answering >= 500) commit their full span tree to a bounded outlier
-// ring even when head sampling skipped them; a background sampler
-// (-history-interval) keeps -history-ring points of every telemetry
-// series, and `comet-top <url>` renders the live cluster cockpit from
-// both.
+// serves net/http/pprof on a separate listener. Kept traces live in one
+// store of -trace-ring spans: head-sampled and forced traces, plus the
+// full span tree of every request slower than -trace-slow-ms (job result
+// streams excepted) or answering >= 500, kept even when head sampling
+// skipped it. The flight recorder (-flight-ring) keeps a bounded black
+// box of every request, lease, and job transition regardless of
+// sampling; SIGQUIT dumps it to stderr as JSON and exits. A background
+// sampler (-history-interval) keeps -history-ring points of every
+// telemetry series. `comet-top <url>` renders the live cluster cockpit
+// from all of it, and `comet-top -trace <trace-id> <url>` renders a
+// (cluster-federated) trace as a span tree.
 //
 // Cluster mode: -coordinator (or a static -workers url1,url2 list) turns
 // the server into a coordinator that shards corpus jobs across workers;
@@ -147,10 +148,9 @@ func main() {
 		logLevel    = flag.String("log-level", "info", "log verbosity: debug | info | warn | error (request lines on hot routes log at debug)")
 		debugAddr   = flag.String("debug-addr", "", "separate listen address serving net/http/pprof profiles (empty = disabled)")
 		traceSample = flag.Int("trace-sample", 0, "trace 1-in-N requests on hot routes; slow routes are always traced (0 = default 64, 1 = every request, negative = tracing off)")
-		traceRing   = flag.Int("trace-ring", 0, "finished spans retained for GET /debug/traces (0 = 4096)")
+		traceRing   = flag.Int("trace-ring", 0, "spans of kept traces — sampled, forced, and slow/5xx outliers — retained for GET /debug/traces (0 = 4096)")
 		flightRing  = flag.Int("flight-ring", 0, "flight-recorder records retained for GET /debug/flight and the SIGQUIT dump (0 = 2048)")
-		traceSlowMS = flag.Int("trace-slow-ms", 0, "retain the full span tree of requests slower than this (or status >= 500) in the outlier ring, regardless of -trace-sample (0 = default 500, negative = off)")
-		outlierRing = flag.Int("outlier-ring", 0, "outlier traces retained for GET /debug/traces?outliers=1 (0 = 256)")
+		traceSlowMS = flag.Int("trace-slow-ms", 0, "keep the full span tree of requests slower than this (job streams excepted) or answering >= 500 as outliers, regardless of -trace-sample (0 = default 500, negative = off)")
 		historyRing = flag.Int("history-ring", 0, "telemetry points retained per series for GET /debug/history (0 = 600, ~10 min at the default interval)")
 		historyTick = flag.Duration("history-interval", 0, "telemetry history sampling interval (0 = 1s, negative = sampler off)")
 		showVersion = flag.Bool("version", false, "print the build version and exit")
@@ -224,7 +224,6 @@ func main() {
 		TraceSample:           *traceSample,
 		FlightRecorderSize:    *flightRing,
 		TraceSlowMS:           *traceSlowMS,
-		OutlierRingSize:       *outlierRing,
 		HistoryRingSize:       *historyRing,
 		HistoryInterval:       *historyTick,
 		ProcessLabel:          processLabel(*coordinator || len(staticWorkers) > 0, *joinURL != ""),

@@ -24,6 +24,11 @@
 // and exits, -json (with -once) emits the raw snapshot as one JSON
 // document — the form the e2e harness asserts on — -width sets the
 // sparkline width, and -outliers caps the outlier rows.
+//
+// With -trace ID it instead renders one trace as a span tree with
+// wall-time bars and per-span attributes (federated across the cluster
+// unless -local; -json prints the span JSON) and exits; -trace list
+// lists recent traces, filtered by -route and -min-ms. See trace.go.
 package main
 
 import (
@@ -47,11 +52,16 @@ func main() {
 	var (
 		interval    = flag.Duration("interval", 2*time.Second, "poll and redraw cadence")
 		once        = flag.Bool("once", false, "draw one frame and exit (no screen clearing)")
-		rawJSON     = flag.Bool("json", false, "with -once: print the polled snapshot as JSON instead of rendering")
-		width       = flag.Int("width", 40, "sparkline width in cells")
+		rawJSON     = flag.Bool("json", false, "with -once: print the polled snapshot as JSON instead of rendering; with -trace: print the span JSON")
+		width       = flag.Int("width", 40, "sparkline (or -trace wall-time bar) width in cells")
 		outliers    = flag.Int("outliers", 8, "recent outlier traces shown")
 		timeout     = flag.Duration("timeout", 15*time.Second, "HTTP timeout per poll")
 		showVersion = flag.Bool("version", false, "print the build version and exit")
+		traceID     = flag.String("trace", "", "render the span tree of this trace ID and exit (\"list\" lists recent traces)")
+		local       = flag.Bool("local", false, "with -trace: only the queried process's own spans (skip ?cluster=1 federation)")
+		limit       = flag.Int("limit", 20, "with -trace list: traces shown")
+		route       = flag.String("route", "", "with -trace list: only traces rooted at this route")
+		minMS       = flag.Int("min-ms", 0, "with -trace list: only traces at least this slow")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: comet-top [flags] <server-url>\n\n")
@@ -69,6 +79,19 @@ func main() {
 	base := inspect.NormalizeBase(flag.Arg(0))
 	client := inspect.NewClient(*timeout)
 
+	switch *traceID {
+	case "":
+	case "list":
+		if err := listTraces(os.Stdout, client, base, *limit, *route, *minMS); err != nil {
+			fatal(err)
+		}
+		return
+	default:
+		if err := showTrace(os.Stdout, client, base, *traceID, !*local, *rawJSON, *width); err != nil {
+			fatal(err)
+		}
+		return
+	}
 	for {
 		snap := poll(client, base, *outliers)
 		if *rawJSON && *once {
@@ -115,7 +138,7 @@ type snapshot struct {
 	Polled    time.Time           `json:"polled"`
 	Processes []processHistory    `json:"processes"`
 	Cluster   *wire.ClusterStatus `json:"cluster,omitempty"`
-	Outliers  []obs.OutlierTrace  `json:"outliers"`
+	Outliers  []obs.TraceEntry    `json:"outliers"`
 	// Err is set when the history poll itself failed (server down); the
 	// frame still renders, showing the error.
 	Err string `json:"error,omitempty"`
@@ -144,7 +167,7 @@ func poll(client *inspect.Client, base string, maxOutliers int) snapshot {
 	}
 
 	var outl struct {
-		Outliers []obs.OutlierTrace `json:"outliers"`
+		Outliers []obs.TraceEntry `json:"outliers"`
 	}
 	url := fmt.Sprintf("%s/debug/traces?outliers=1&cluster=1&limit=%d", base, maxOutliers)
 	if err := client.GetJSON(url, &outl); err == nil {
@@ -304,7 +327,7 @@ func renderCluster(w io.Writer, st *wire.ClusterStatus) {
 	}
 }
 
-func renderOutliers(w io.Writer, outliers []obs.OutlierTrace, max int) {
+func renderOutliers(w io.Writer, outliers []obs.TraceEntry, max int) {
 	if len(outliers) == 0 {
 		return
 	}

@@ -90,9 +90,9 @@ func TestPollFederated(t *testing.T) {
 	})
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]any{
-			"outliers": []obs.OutlierTrace{{
+			"outliers": []obs.TraceEntry{{
 				TraceID: "deadbeef", Route: "explain", Status: 200,
-				Reason: obs.OutlierSlow, Start: t0, DurationUS: 712_000,
+				Reason: "slow", Start: t0, DurationUS: 712_000,
 				Process: "coordinator",
 			}},
 		})

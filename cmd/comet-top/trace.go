@@ -1,79 +1,31 @@
-// Command comet-trace fetches and renders distributed traces from a
-// comet-serve process.
+package main
+
+// Trace mode (-trace): render one distributed trace as a span tree, or
+// list the traces the server's store still holds.
 //
-// With only a server URL it lists the traces the server's span ring
-// still holds, most recent first. With a trace ID it fetches every
-// recorded span — by default with ?cluster=1, so a coordinator answers
-// with the federated view (its own spans merged with every pool
-// worker's) — and renders the parent-linked span tree with wall-time
-// bars and per-span attributes, per-explanation profile stages included:
-//
-//	$ comet-trace http://127.0.0.1:8372
+//	$ comet-top -trace list http://127.0.0.1:8372
 //	TRACE                             ROOT         SPANS  START                 DURATION
 //	86a1f07b2c...                     http.corpus     14  2026-08-08T10:11:12Z  412.3ms
 //
-//	$ comet-trace http://127.0.0.1:8372 86a1f07b2c...
+//	$ comet-top -trace 86a1f07b2c... http://127.0.0.1:8372
 //	http.corpus          1.2ms ▐█────────────────────────────▌ process=coordinator blocks=8 ...
 //	  job.run          410.9ms ▐─█████████████████████████████▌ process=coordinator job_id=...
 //	    http.shard    118.4ms ▐──███████─────────────────────▌ process=http://127.0.0.1:40121 ...
 //
-// Flags: -local skips federation (the queried process's own spans only),
-// -json prints the raw span JSON instead of the tree, -width sets the
-// bar width, -route/-min-ms filter the listing.
-package main
+// A trace is fetched with ?cluster=1 unless -local is set, so a
+// coordinator answers with the federated view: its own spans merged
+// with every pool worker's.
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/url"
-	"os"
 	"time"
 
 	"github.com/comet-explain/comet/internal/inspect"
 	"github.com/comet-explain/comet/internal/obs"
-	"github.com/comet-explain/comet/internal/version"
 )
-
-func main() {
-	var (
-		local       = flag.Bool("local", false, "fetch only the queried process's own spans (skip ?cluster=1 federation)")
-		rawJSON     = flag.Bool("json", false, "print the server's span JSON instead of the rendered tree")
-		width       = flag.Int("width", 30, "wall-time bar width in cells")
-		limit       = flag.Int("limit", 20, "traces shown when listing (no trace ID given)")
-		route       = flag.String("route", "", "listing filter: only traces rooted at this route")
-		minMS       = flag.Int("min-ms", 0, "listing filter: only traces at least this slow")
-		timeout     = flag.Duration("timeout", 15*time.Second, "HTTP timeout")
-		showVersion = flag.Bool("version", false, "print the build version and exit")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: comet-trace [flags] <server-url> [trace-id]\n\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if *showVersion {
-		fmt.Println(version.String("comet-trace"))
-		return
-	}
-	args := flag.Args()
-	if len(args) < 1 || len(args) > 2 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	client := inspect.NewClient(*timeout)
-	base := inspect.NormalizeBase(args[0])
-
-	if len(args) == 1 {
-		if err := listTraces(os.Stdout, client, base, *limit, *route, *minMS); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if err := showTrace(os.Stdout, client, base, args[1], !*local, *rawJSON, *width); err != nil {
-		fatal(err)
-	}
-}
 
 // listTraces renders GET /debug/traces as a table.
 func listTraces(w io.Writer, client *inspect.Client, base string, limit int, route string, minMS int) error {
@@ -106,7 +58,7 @@ func listTraces(w io.Writer, client *inspect.Client, base string, limit int, rou
 // showTrace fetches one trace (federated unless told otherwise) and
 // renders the span tree.
 func showTrace(w io.Writer, client *inspect.Client, base, id string, federate, rawJSON bool, width int) error {
-	u := base + "/debug/traces/" + id
+	u := base + "/debug/traces/" + url.PathEscape(id)
 	if federate {
 		u += "?cluster=1"
 	}
@@ -146,9 +98,4 @@ func showTrace(w io.Writer, client *inspect.Client, base, id string, federate, r
 	spans := obs.MergeSpans(body.Spans)
 	obs.WriteTree(w, spans, width)
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "comet-trace:", err)
-	os.Exit(1)
 }

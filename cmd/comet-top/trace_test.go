@@ -1,12 +1,13 @@
 package main
 
-// Golden-output tests: the list table and the federated tree render
-// byte-stably from fixed server fixtures (fixed timestamps, fixed span
-// IDs), so a formatting regression shows up as a readable diff.
+// Golden-output tests for -trace: the list table and the federated tree
+// render byte-stably from fixed server fixtures (fixed timestamps, fixed
+// span IDs), so a formatting regression shows up as a readable diff.
 
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -15,8 +16,6 @@ import (
 	"github.com/comet-explain/comet/internal/inspect"
 	"github.com/comet-explain/comet/internal/obs"
 )
-
-var t0 = time.Date(2026, 8, 8, 10, 0, 0, 0, time.UTC)
 
 func fixtureServer(t *testing.T) *httptest.Server {
 	t.Helper()
@@ -159,5 +158,30 @@ func TestShowTraceErrorEnvelope(t *testing.T) {
 	err := showTrace(&buf, client, ts.URL, "aaaabbbbccccddddeeeeffff00001111", false, false, 0)
 	if err == nil {
 		t.Fatal("local fetch of a federated-only fixture should fail")
+	}
+}
+
+// TestShowTraceEscapesID: the trace ID is one path segment however it is
+// spelled — a "/" or "?" in user input must not reach the server as path
+// structure or a query string.
+func TestShowTraceEscapesID(t *testing.T) {
+	var gotPath, gotQuery string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		gotPath, gotQuery = r.URL.EscapedPath(), r.URL.RawQuery
+		http.Error(w, `{"error": "no such trace"}`, http.StatusNotFound)
+	}))
+	defer ts.Close()
+	client := inspect.NewClient(0)
+	for id, want := range map[string]string{
+		"a/b":        "/debug/traces/a%2Fb",
+		"x?limit=1":  "/debug/traces/x%3Flimit=1",
+		"../metrics": "/debug/traces/..%2Fmetrics",
+	} {
+		if err := showTrace(io.Discard, client, ts.URL, id, true, false, 0); err == nil {
+			t.Errorf("%q: fixture 404 not reported", id)
+		}
+		if gotPath != want || gotQuery != "cluster=1" {
+			t.Errorf("%q requested path %q query %q, want %q query cluster=1", id, gotPath, gotQuery, want)
+		}
 	}
 }

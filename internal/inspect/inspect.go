@@ -1,10 +1,11 @@
-// Package inspect is the shared client-side plumbing for the
-// observability CLIs (comet-trace, comet-top): base-URL normalization,
-// a JSON GET that surfaces the server's error envelope, duration
-// formatting, and unicode sparklines for history series.
+// Package inspect is the client-side plumbing of comet-top, the one
+// observability CLI (the live cockpit, and span trees with -trace):
+// base-URL normalization, a JSON GET that surfaces the server's error
+// envelope, duration formatting, and unicode sparklines for history
+// series.
 //
-// It is deliberately tiny and stdlib-only — the CLIs stay single-file
-// tools, and the server never imports it.
+// It is deliberately tiny and stdlib-only, and the server never imports
+// it.
 package inspect
 
 import (

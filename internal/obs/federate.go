@@ -2,7 +2,7 @@ package obs
 
 // Trace federation helpers: merging the span sets that a coordinator and
 // its workers each hold for one trace ID into a single parent-linked
-// tree, and rendering that tree for humans (cmd/comet-trace, and tests).
+// tree, and rendering that tree for humans (comet-top -trace, and tests).
 // Spans already cross processes correctly — every hop propagates the W3C
 // traceparent, so a worker's root span carries the coordinator's span as
 // its parent — federation is just collection, dedup, and ordering.

@@ -34,7 +34,7 @@ const (
 	// FlightJob is one corpus-job state transition (queued, running,
 	// done, failed, canceled).
 	FlightJob
-	// FlightOutlier is one request committed to the outlier trace ring
+	// FlightOutlier is one request kept as an outlier trace
 	// (slower than the slow threshold, or status ≥ 500); State carries
 	// the reason, so a SIGQUIT dump cross-references the retained traces
 	// in /debug/traces?outliers=1 by trace ID.

@@ -1,7 +1,8 @@
 // Package obs is COMET's stdlib-only observability kit: trace and span
 // identifiers with W3C-traceparent propagation, in-process span recording
-// into a bounded ring (served by GET /debug/traces), and the slog setup
-// shared by every binary. It deliberately has no third-party dependencies
+// into one bounded trace store (served by GET /debug/traces), the metric
+// registry behind /metrics and the telemetry history, the flight
+// recorder, and the slog setup shared by every binary. It deliberately has no third-party dependencies
 // and no exporters — traces live in memory, logs go to stderr, and the
 // wire cost of tracing an unsampled request is two PRNG calls.
 //

@@ -49,7 +49,7 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 func TestStartRootSamplingAndPropagation(t *testing.T) {
 	// sampleN=1: every trace records.
 	tr := NewTracer(64, 1)
-	ctx, span, id := tr.StartRoot(context.Background(), "explain", SpanContext{}, false)
+	ctx, span, id := tr.Start(context.Background(), "explain", SpanContext{}, false, false)
 	if span == nil || id.IsZero() {
 		t.Fatal("always-sample tracer returned no span")
 	}
@@ -63,11 +63,11 @@ func TestStartRootSamplingAndPropagation(t *testing.T) {
 	}
 	child.SetInt("queries", 42)
 	child.End()
-	span.End()
-	span.End() // double End is a no-op
-	recs := tr.Ring().Trace(id.String())
+	child.End() // double End is a no-op
+	tr.Commit(span, Outcome{Trace: id})
+	recs := tr.Store().Trace(id.String())
 	if len(recs) != 2 {
-		t.Fatalf("ring holds %d spans, want 2", len(recs))
+		t.Fatalf("store holds %d spans, want 2", len(recs))
 	}
 	if recs[1].Attrs["queries"] != "42" {
 		t.Errorf("child attrs = %v", recs[1].Attrs)
@@ -75,7 +75,7 @@ func TestStartRootSamplingAndPropagation(t *testing.T) {
 
 	// sampleN=0: tracing off, but nothing breaks.
 	off := NewTracer(64, 0)
-	ctx2, span2, id2 := off.StartRoot(context.Background(), "explain", SpanContext{}, true)
+	ctx2, span2, id2 := off.Start(context.Background(), "explain", SpanContext{}, true, true)
 	if span2 != nil || !id2.IsZero() || SpanFromContext(ctx2) != nil {
 		t.Fatal("disabled tracer produced a span")
 	}
@@ -84,7 +84,7 @@ func TestStartRootSamplingAndPropagation(t *testing.T) {
 func TestSamplingHonorsParentDecision(t *testing.T) {
 	tr := NewTracer(64, 1_000_000_000) // local sampling effectively never fires
 	parent := SpanContext{Trace: NewTraceID(), Span: NewSpanID(), Sampled: true}
-	_, span, id := tr.StartRoot(context.Background(), "shard", parent, false)
+	_, span, id := tr.Start(context.Background(), "shard", parent, false, false)
 	if span == nil {
 		t.Fatal("sampled parent was not honored")
 	}
@@ -92,7 +92,7 @@ func TestSamplingHonorsParentDecision(t *testing.T) {
 		t.Fatal("parent linkage lost")
 	}
 	parent.Sampled = false
-	_, span, id = tr.StartRoot(context.Background(), "shard", parent, false)
+	_, span, id = tr.Start(context.Background(), "shard", parent, false, false)
 	if span != nil {
 		t.Fatal("unsampled parent was recorded")
 	}
@@ -100,7 +100,7 @@ func TestSamplingHonorsParentDecision(t *testing.T) {
 		t.Fatal("trace ID must still propagate for the response header")
 	}
 	// force overrides the parent's negative decision.
-	if _, span, _ = tr.StartRoot(context.Background(), "shard", parent, true); span == nil {
+	if _, span, _ = tr.Start(context.Background(), "shard", parent, true, false); span == nil || !span.Context().Sampled {
 		t.Fatal("force did not override the unsampled parent")
 	}
 }
@@ -140,31 +140,31 @@ func TestRingEvictionAndTraces(t *testing.T) {
 	tr := NewTracer(64, 1)
 	var last TraceID
 	for i := 0; i < 100; i++ {
-		_, span, id := tr.StartRoot(context.Background(), "req", SpanContext{}, false)
-		span.End()
+		_, span, id := tr.Start(context.Background(), "req", SpanContext{}, false, false)
+		tr.Commit(span, Outcome{Trace: id})
 		last = id
 	}
-	traces := tr.Ring().Traces(0)
+	traces := tr.Store().Traces(0)
 	if len(traces) != 64 {
-		t.Fatalf("ring retains %d traces, want 64", len(traces))
+		t.Fatalf("store retains %d traces, want 64", len(traces))
 	}
 	if traces[0].TraceID != last.String() {
 		t.Fatal("most recent trace not listed first")
 	}
-	if got := tr.Ring().Traces(5); len(got) != 5 {
+	if got := tr.Store().Traces(5); len(got) != 5 {
 		t.Fatalf("limit ignored: %d", len(got))
 	}
-	if recs := tr.Ring().Trace(last.String()); len(recs) != 1 || recs[0].Name != "req" {
+	if recs := tr.Store().Trace(last.String()); len(recs) != 1 || recs[0].Name != "req" {
 		t.Fatalf("single-trace fetch: %+v", recs)
 	}
 }
 
 func TestSpanRecordJSONShape(t *testing.T) {
 	tr := NewTracer(64, 1)
-	_, span, id := tr.StartRoot(context.Background(), "explain", SpanContext{}, false)
+	_, span, id := tr.Start(context.Background(), "explain", SpanContext{}, false, false)
 	span.Set("spec", "uica@hsw")
-	span.End()
-	data, err := json.Marshal(tr.Ring().Trace(id.String()))
+	tr.Commit(span, Outcome{Trace: id})
+	data, err := json.Marshal(tr.Store().Trace(id.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,34 @@
 package obs
 
+// Spans are recorded provisionally into a pooled, recycled buffer per
+// root — the request or async task that owns the trace fragment — and
+// Tracer.Commit decides at the root's end whether the fragment is kept.
+// Head sampling (1 in N by trace ID) is therefore only a retention rule:
+// a trace that turns out slow or broken is kept with its full span tree
+// even when head sampling would have thrown it away.
+//
+// The buffer is built for a zero-allocation steady state: spans come
+// from a preallocated arena, attribute slices keep their capacity across
+// recycles, and nothing is hex-encoded or map-boxed until a commit
+// actually keeps the trace — the common fast-and-healthy request pays a
+// pool Get/Put and struct writes, nothing more.
+
 import (
 	"context"
 	"encoding/binary"
-	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Tracer mints and records spans. Sampling is decided once per trace,
-// deterministically from the trace ID, so every process in a cluster
-// agrees on whether a trace is recorded without coordinating: a sampled
-// coordinator trace is sampled on every worker it touches.
+// Tracer mints spans and keeps finished traces in its Store. Sampling is
+// decided once per trace, deterministically from the trace ID, so every
+// process in a cluster agrees on whether a trace is recorded without
+// coordinating: a sampled coordinator trace is sampled on every worker
+// it touches.
 type Tracer struct {
-	ring *Ring
+	store *Store
 	// sampleN is the hot-route sampling rate: 0 disables tracing
 	// entirely, 1 records every trace, N records roughly one in N.
 	// Routes that matter individually (jobs, shards, cluster ops) force
@@ -22,153 +36,180 @@ type Tracer struct {
 	sampleN uint64
 }
 
-// NewTracer builds a tracer recording finished spans into a ring of
-// ringSize spans (minimum 64), sampling one in sampleN hot-route traces.
-func NewTracer(ringSize int, sampleN uint64) *Tracer {
-	if ringSize < 64 {
-		ringSize = 64
-	}
-	return &Tracer{ring: newRing(ringSize), sampleN: sampleN}
+// NewTracer builds a tracer keeping finished traces in a store of size
+// spans (minimum 64), sampling one in sampleN hot-route traces.
+func NewTracer(size int, sampleN uint64) *Tracer {
+	return &Tracer{store: newStore(size), sampleN: sampleN}
 }
 
 // Enabled reports whether the tracer records anything at all.
 func (t *Tracer) Enabled() bool { return t != nil && t.sampleN > 0 }
 
-// Ring exposes the span ring for the /debug/traces handler.
-func (t *Tracer) Ring() *Ring {
+// Store exposes the trace store for the /debug/traces handlers.
+func (t *Tracer) Store() *Store {
 	if t == nil {
 		return nil
 	}
-	return t.ring
+	return t.store
 }
 
 // sampled is the deterministic per-trace sampling decision.
 func (t *Tracer) sampled(id TraceID) bool {
-	if t == nil || t.sampleN == 0 {
-		return false
-	}
 	if t.sampleN == 1 {
 		return true
 	}
 	return binary.LittleEndian.Uint64(id[8:])%t.sampleN == 0
 }
 
-// StartRoot begins the root span of a request. parent is the parsed
-// incoming traceparent (zero when the request starts a new trace); force
-// records the trace regardless of the sampling rate (debug endpoints,
-// ?profile=1, job submissions). The returned trace ID is valid even when
-// the trace is unsampled — the X-Comet-Trace-Id response header always
-// carries it — and the returned span is nil (and ctx untouched, costing
-// nothing) for unsampled traces.
-func (t *Tracer) StartRoot(ctx context.Context, name string, parent SpanContext, force bool) (context.Context, *Span, TraceID) {
-	if t == nil || t.sampleN == 0 {
+// Start begins the root span of a request. parent is the parsed incoming
+// traceparent (zero when the request starts a new trace); force keeps
+// the trace regardless of the sampling rate (job submissions, ?trace=1);
+// tail records an unsampled trace provisionally, so Commit can still
+// keep it if the request turns out slow or broken. The returned trace ID
+// is valid even when nothing is recorded — the X-Comet-Trace-Id response
+// header always carries it — and the returned span is nil (and ctx
+// untouched, costing nothing) for traces that are not recorded. Every
+// non-nil root must be handed to Commit.
+func (t *Tracer) Start(ctx context.Context, name string, parent SpanContext, force, tail bool) (context.Context, *Span, TraceID) {
+	if !t.Enabled() {
 		return ctx, nil, TraceID{}
 	}
 	var trace TraceID
 	var parentID SpanID
-	var record bool
+	var sampled bool
 	if !parent.IsZero() {
-		trace, parentID = parent.Trace, parent.Span
-		record = parent.Sampled || force
+		trace, parentID, sampled = parent.Trace, parent.Span, parent.Sampled
 	} else {
 		trace = NewTraceID()
-		record = force || t.sampled(trace)
+		sampled = t.sampled(trace)
 	}
-	if !record {
+	var kept Kept
+	if sampled {
+		kept = KeptSampled
+	}
+	if force {
+		kept |= KeptForced
+	}
+	if kept == 0 && !tail {
 		return ctx, nil, trace
 	}
-	s := &Span{
-		tracer:  t,
-		trace:   trace,
-		id:      NewSpanID(),
-		parent:  parentID,
-		name:    name,
-		start:   time.Now(),
-		sampled: true,
-	}
+	buf := spanBufferPool.Get().(*spanBuffer)
+	buf.kept, buf.limit = kept, t.store.size
+	// A forced trace propagates as sampled so downstream hops record it;
+	// a tail-only one carries the real (unsampled) decision.
+	s := buf.startSpan(trace, parentID, name, kept != 0)
 	return ContextWithSpan(ctx, s), s, trace
 }
 
-// Resume begins a span parented on a stored or remote span context — the
-// async half of a trace: a queued corpus job resuming after its accepting
-// request finished, or a worker lease carrying the coordinator's span.
-// Returns (ctx, nil) when parent is unsampled or zero.
+// Resume begins the root of an async task parented on a stored span
+// context — a queued corpus job picking its accepting request's trace
+// back up. It records only when parent is sampled (returning (ctx, nil)
+// otherwise); a recorded root is committed with Commit like any other.
 func (t *Tracer) Resume(ctx context.Context, name string, parent SpanContext) (context.Context, *Span) {
-	if t == nil || t.sampleN == 0 || parent.IsZero() || !parent.Sampled {
+	if parent.IsZero() || !parent.Sampled {
 		return ctx, nil
 	}
-	s := &Span{
-		tracer:  t,
-		trace:   parent.Trace,
-		id:      NewSpanID(),
-		parent:  parent.Span,
-		name:    name,
-		start:   time.Now(),
-		sampled: true,
-	}
-	return ContextWithSpan(ctx, s), s
+	ctx, s, _ := t.Start(ctx, name, parent, false, false)
+	return ctx, s
 }
 
-// StartSpan begins a child of the span active in ctx. When ctx carries no
-// sampled span this is two pointer loads and returns (ctx, nil): stage
-// spans in the core engine cost nothing for unsampled requests. A child
-// of a buffered span is allocated from the same buffer, so outlier
-// retention captures the full stage tree.
+// Outcome is how a root's request or task ended: what Commit records
+// with a kept trace, and the outlier reasons (KeptSlow, KeptError) the
+// caller judged.
+type Outcome struct {
+	Trace   TraceID
+	Route   string
+	Status  int
+	Start   time.Time
+	Elapsed time.Duration
+	Kept    Kept
+}
+
+// Commit ends root and decides whether its trace fragment is kept: when
+// it was head-sampled or forced at Start, or when o carries an outlier
+// reason. A kept fragment enters the store as one entry with its full
+// span tree; anything else recycles its buffer untouched. root may be
+// nil — an unrecorded request that still turned out to be an outlier is
+// kept as an entry without spans. It reports whether anything was kept.
+func (t *Tracer) Commit(root *Span, o Outcome) bool {
+	if !t.Enabled() {
+		return false
+	}
+	var buf *spanBuffer
+	if root != nil && !root.expired() {
+		buf = root.buf
+	}
+	kept := o.Kept
+	if buf != nil {
+		kept |= buf.kept
+	}
+	if kept != 0 {
+		e := &TraceEntry{
+			TraceID:    o.Trace.String(),
+			Route:      o.Route,
+			Status:     o.Status,
+			Reason:     kept.String(),
+			Start:      o.Start.UTC(),
+			DurationUS: o.Elapsed.Microseconds(),
+			kept:       kept,
+		}
+		if buf != nil {
+			root.End()
+			e.Spans = buf.records(time.Now())
+		}
+		t.store.add(e)
+	}
+	if buf != nil {
+		buf.release()
+	}
+	return kept != 0
+}
+
+// StartSpan begins a child of the span active in ctx, in the same
+// buffer. When ctx carries no recorded span this is a pointer load and
+// returns (ctx, nil): stage spans in the core engine cost nothing for
+// unrecorded requests. A buffer that already holds as many spans as the
+// store could keep records no more children.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	parent := SpanFromContext(ctx)
-	if parent == nil {
+	if parent == nil || parent.expired() {
 		return ctx, nil
 	}
-	if parent.buf != nil {
-		s := parent.buf.startSpan(parent.tracer, parent.trace, parent.id, name, parent.sampled)
-		return ContextWithSpan(ctx, s), s
-	}
-	s := &Span{
-		tracer:  parent.tracer,
-		trace:   parent.trace,
-		id:      NewSpanID(),
-		parent:  parent.id,
-		name:    name,
-		start:   time.Now(),
-		sampled: true,
+	s := parent.buf.startSpan(parent.trace, parent.id, name, parent.sampled)
+	if s == nil {
+		return ctx, nil
 	}
 	return ContextWithSpan(ctx, s), s
 }
 
 // Span is one recorded operation. Attributes are set by the goroutine
-// that owns the span; End publishes it to the tracer's ring — or, for a
-// buffered span (outlier retention), marks it finished in its SpanBuffer
-// for the commit decision at request end. All methods are nil-safe so
-// call sites never branch on sampling.
+// that owns the span; End records its end time for the commit. All
+// methods are nil-safe so call sites never branch on sampling.
 type Span struct {
-	tracer *Tracer
 	trace  TraceID
 	id     SpanID
 	parent SpanID
 	name   string
 	start  time.Time
-	// sampled is the head-sampling decision the span propagates. Ring
-	// spans are sampled by definition; buffered spans exist regardless of
-	// sampling and must not upgrade downstream hops.
+	// sampled is the head-sampling decision the span propagates; a
+	// tail-only trace must not upgrade downstream hops.
 	sampled bool
-	// buf, when non-nil, is the SpanBuffer this span lives in; bufGen is
-	// the buffer generation at allocation, so writes after the buffer was
-	// recycled become no-ops instead of corrupting the slot's next life.
-	buf    *SpanBuffer
+	// buf is the buffer this span lives in; bufGen is the buffer
+	// generation at allocation, so writes after the buffer was recycled
+	// become no-ops instead of corrupting the slot's next life.
+	buf    *spanBuffer
 	bufGen uint64
 
 	mu    sync.Mutex
 	attrs []attr
 	ended bool
-	end   time.Time // buffered spans: set by End, read at commit
+	end   time.Time
 }
 
 type attr struct{ key, value string }
 
-// expired reports whether a buffered span outlived its buffer.
-func (s *Span) expired() bool {
-	return s.buf != nil && s.buf.gen.Load() != s.bufGen
-}
+// expired reports whether the span outlived its buffer.
+func (s *Span) expired() bool { return s.buf.gen.Load() != s.bufGen }
 
 // Context returns the span's propagation fragment, carrying the trace's
 // head-sampling decision.
@@ -215,51 +256,22 @@ func (s *Span) SetErr(err error) {
 	s.Set("error", err.Error())
 }
 
-// End finishes the span. A ring span publishes to the tracer's ring; a
-// buffered span just records its end time — whether it ever becomes a
-// SpanRecord is decided when its buffer commits. Safe to call more than
-// once; only the first call records.
+// End finishes the span. Safe to call more than once; only the first
+// call records.
 func (s *Span) End() {
 	if s == nil || s.expired() {
 		return
 	}
 	end := time.Now()
-	if s.buf != nil {
-		s.mu.Lock()
-		if !s.ended {
-			s.ended = true
-			s.end = end
-		}
-		s.mu.Unlock()
-		return
-	}
 	s.mu.Lock()
-	if s.ended {
-		s.mu.Unlock()
-		return
-	}
-	s.ended = true
-	var attrs map[string]string
-	if len(s.attrs) > 0 {
-		attrs = make(map[string]string, len(s.attrs))
-		for _, a := range s.attrs {
-			attrs[a.key] = a.value
-		}
+	if !s.ended {
+		s.ended, s.end = true, end
 	}
 	s.mu.Unlock()
-	s.tracer.ring.add(SpanRecord{
-		TraceID:    s.trace.String(),
-		SpanID:     s.id.String(),
-		ParentID:   parentString(s.parent),
-		Name:       s.name,
-		Start:      s.start,
-		DurationUS: end.Sub(s.start).Microseconds(),
-		Attrs:      attrs,
-	})
 }
 
-// record converts a buffered span to its SpanRecord at commit time. A
-// span still open is reported with its duration up to now.
+// record converts the span to its SpanRecord at commit time. A span
+// still open is reported with its duration up to now.
 func (s *Span) record(now time.Time) SpanRecord {
 	s.mu.Lock()
 	end := s.end
@@ -274,22 +286,18 @@ func (s *Span) record(now time.Time) SpanRecord {
 		}
 	}
 	s.mu.Unlock()
-	return SpanRecord{
+	rec := SpanRecord{
 		TraceID:    s.trace.String(),
 		SpanID:     s.id.String(),
-		ParentID:   parentString(s.parent),
 		Name:       s.name,
 		Start:      s.start,
 		DurationUS: end.Sub(s.start).Microseconds(),
 		Attrs:      attrs,
 	}
-}
-
-func parentString(p SpanID) string {
-	if p.IsZero() {
-		return ""
+	if !s.parent.IsZero() {
+		rec.ParentID = s.parent.String()
 	}
-	return p.String()
+	return rec
 }
 
 // SpanRecord is a finished span as served by GET /debug/traces.
@@ -302,111 +310,92 @@ type SpanRecord struct {
 	DurationUS int64             `json:"duration_us"`
 	Attrs      map[string]string `json:"attrs,omitempty"`
 	// Process labels which process recorded the span in a federated
-	// (cross-process) trace view; empty in a single process's own ring.
+	// (cross-process) trace view; empty in a single process's own store.
 	Process string `json:"process,omitempty"`
 }
 
-// TraceSummary is one trace in the GET /debug/traces listing.
-type TraceSummary struct {
-	TraceID string    `json:"trace_id"`
-	Root    string    `json:"root"` // name of the oldest span (the best root guess in a ring)
-	Spans   int       `json:"spans"`
-	Start   time.Time `json:"start"`
-	// DurationUS covers first span start to last span end — wall clock of
-	// everything the ring still holds for this trace.
-	DurationUS int64 `json:"duration_us"`
+// spanBufferArena is the per-buffer preallocated span count. Roots that
+// exceed it fall back to heap spans (still recorded) up to the buffer's
+// limit.
+const spanBufferArena = 64
+
+// spanBuffer holds one root's provisional spans. Spans must not be
+// touched after their buffer is recycled — a generation counter turns
+// late writes into no-ops, but they are bugs in the caller.
+type spanBuffer struct {
+	// gen invalidates outstanding *Span handles at recycle time: a span
+	// whose captured generation no longer matches drops writes instead of
+	// corrupting the arena slot's next occupant.
+	gen atomic.Uint64
+
+	mu    sync.Mutex
+	kept  Kept // head decision: KeptSampled, KeptForced, or 0 (tail only)
+	limit int  // most spans recorded; past it children are dropped
+	used  int
+	arena []Span
+	extra []*Span // overflow beyond the arena; rare, heap-allocated
 }
 
-// Ring is a bounded buffer of finished spans. Old spans are overwritten;
-// a trace that outlives the ring simply loses its oldest spans.
-type Ring struct {
-	mu   sync.Mutex
-	buf  []SpanRecord
-	next int // write cursor
-	full bool
+var spanBufferPool = sync.Pool{New: func() any {
+	return &spanBuffer{arena: make([]Span, spanBufferArena)}
+}}
+
+// release invalidates the buffer's spans and returns it to the pool.
+func (b *spanBuffer) release() {
+	b.gen.Add(1)
+	b.mu.Lock()
+	b.used, b.kept = 0, 0
+	clear(b.extra)
+	b.extra = b.extra[:0]
+	b.mu.Unlock()
+	spanBufferPool.Put(b)
 }
 
-func newRing(size int) *Ring {
-	return &Ring{buf: make([]SpanRecord, size)}
-}
-
-func (r *Ring) add(rec SpanRecord) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.buf[r.next] = rec
-	r.next++
-	if r.next == len(r.buf) {
-		r.next, r.full = 0, true
-	}
-	r.mu.Unlock()
-}
-
-// snapshot returns the ring contents oldest-first.
-func (r *Ring) snapshot() []SpanRecord {
-	if r == nil {
+// startSpan hands out the next arena slot (or a heap span past the
+// arena), initialized for (trace, parent); nil once the buffer is at its
+// limit. Zero-allocation while the arena lasts: the slot's attribute
+// slice keeps its capacity from previous lives.
+func (b *spanBuffer) startSpan(trace TraceID, parent SpanID, name string, sampled bool) *Span {
+	b.mu.Lock()
+	var s *Span
+	switch {
+	case b.used+len(b.extra) >= b.limit:
+		b.mu.Unlock()
 		return nil
+	case b.used < len(b.arena):
+		s = &b.arena[b.used]
+		b.used++
+	default:
+		s = &Span{}
+		b.extra = append(b.extra, s)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]SpanRecord(nil), r.buf[:r.next]...)
-	}
-	out := make([]SpanRecord, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
+	b.mu.Unlock()
+	s.trace = trace
+	s.id = NewSpanID()
+	s.parent = parent
+	s.name = name
+	s.start = time.Now()
+	s.attrs = s.attrs[:0]
+	s.ended = false
+	s.end = time.Time{}
+	s.sampled = sampled
+	s.buf = b
+	s.bufGen = b.gen.Load()
+	return s
 }
 
-// Traces lists the traces currently in the ring, most recent first,
-// capped at limit (0 means no cap).
-func (r *Ring) Traces(limit int) []TraceSummary {
-	spans := r.snapshot()
-	byTrace := make(map[string]*TraceSummary)
-	lastEnd := make(map[string]time.Time)
-	var order []string // trace IDs by first (oldest) appearance
-	for _, sp := range spans {
-		end := sp.Start.Add(time.Duration(sp.DurationUS) * time.Microsecond)
-		ts, ok := byTrace[sp.TraceID]
-		if !ok {
-			ts = &TraceSummary{TraceID: sp.TraceID, Root: sp.Name, Start: sp.Start}
-			byTrace[sp.TraceID] = ts
-			order = append(order, sp.TraceID)
-		}
-		ts.Spans++
-		if sp.Start.Before(ts.Start) {
-			ts.Start, ts.Root = sp.Start, sp.Name
-		}
-		if end.After(lastEnd[sp.TraceID]) {
-			lastEnd[sp.TraceID] = end
-		}
+// records converts the buffered spans to SpanRecords, creation order.
+// This is the commit path: it allocates (records, hex IDs, attr maps),
+// which is why it only runs for kept traces.
+func (b *spanBuffer) records(now time.Time) []SpanRecord {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make([]SpanRecord, 0, b.used+len(b.extra))
+	for i := 0; i < b.used; i++ {
+		out = append(out, b.arena[i].record(now))
 	}
-	out := make([]TraceSummary, 0, len(byTrace))
-	for i := len(order) - 1; i >= 0; i-- { // most recent trace first
-		ts := *byTrace[order[i]]
-		ts.DurationUS = lastEnd[ts.TraceID].Sub(ts.Start).Microseconds()
-		out = append(out, ts)
-		if limit > 0 && len(out) == limit {
-			break
-		}
+	for _, s := range b.extra {
+		out = append(out, s.record(now))
 	}
-	return out
-}
-
-// Trace returns every span the ring holds for one trace ID, oldest
-// first, with ties broken by span ID for deterministic output.
-func (r *Ring) Trace(id string) []SpanRecord {
-	var out []SpanRecord
-	for _, sp := range r.snapshot() {
-		if sp.TraceID == id {
-			out = append(out, sp)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if !out[i].Start.Equal(out[j].Start) {
-			return out[i].Start.Before(out[j].Start)
-		}
-		return out[i].SpanID < out[j].SpanID
-	})
 	return out
 }

@@ -203,38 +203,40 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.coordinator.Status())
 }
 
-// clusterGauges renders the comet_cluster_* metrics (coordinator mode
-// only).
-func (s *Server) clusterGauges() []gauge {
-	if s.coordinator == nil {
-		return nil
+// declareClusterMetrics declares the comet_cluster_* gauges
+// (coordinator mode only), read from one scheduler status snapshot each.
+func (s *Server) declareClusterMetrics() {
+	reg := s.metrics.reg
+	status := func(name, help string, read func(wire.ClusterStatus) uint64) {
+		reg.Gauge(obs.Desc{Name: name, Help: help}, func() float64 { return float64(read(s.coordinator.Status())) })
 	}
-	st := s.coordinator.Status()
-	byState := map[string]int{}
-	for _, w := range st.Workers {
-		byState[w.State]++
-	}
-	out := []gauge{
-		{name: "comet_cluster_leases_dispatched_total", value: float64(st.LeasesDispatched)},
-		{name: "comet_cluster_leases_released_total", value: float64(st.LeasesReleased)},
-		{name: "comet_cluster_straggler_dispatches_total", value: float64(st.StragglerDispatches)},
-		{name: "comet_cluster_worker_deaths_total", value: float64(st.WorkerDeaths)},
-		{name: "comet_cluster_blocks_done_total", value: float64(st.BlocksDone)},
-		{name: "comet_cluster_shard_errors_total", value: float64(st.ShardErrors)},
-	}
-	states := make([]string, 0, len(byState))
-	for state := range byState {
-		states = append(states, state)
-	}
-	sort.Strings(states)
-	for _, state := range states {
-		out = append(out, gauge{
-			name:   "comet_cluster_workers",
-			labels: `state="` + state + `"`,
-			value:  float64(byState[state]),
+	status("comet_cluster_leases_dispatched_total", "Leases dispatched to workers.",
+		func(st wire.ClusterStatus) uint64 { return st.LeasesDispatched })
+	status("comet_cluster_leases_released_total", "Leases released back for re-dispatch.",
+		func(st wire.ClusterStatus) uint64 { return st.LeasesReleased })
+	status("comet_cluster_straggler_dispatches_total", "Leases re-dispatched to an idle worker as stragglers.",
+		func(st wire.ClusterStatus) uint64 { return st.StragglerDispatches })
+	status("comet_cluster_worker_deaths_total", "Workers declared dead.",
+		func(st wire.ClusterStatus) uint64 { return st.WorkerDeaths })
+	status("comet_cluster_blocks_done_total", "Blocks completed by workers.",
+		func(st wire.ClusterStatus) uint64 { return st.BlocksDone })
+	status("comet_cluster_shard_errors_total", "Shard requests that failed.",
+		func(st wire.ClusterStatus) uint64 { return st.ShardErrors })
+	reg.GaugeVec(obs.Desc{Name: "comet_cluster_workers", Help: "Pool workers, by state.", Labels: []string{"state"}},
+		func(emit func(float64, ...string)) {
+			byState := map[string]int{}
+			for _, w := range s.coordinator.Status().Workers {
+				byState[w.State]++
+			}
+			states := make([]string, 0, len(byState))
+			for state := range byState {
+				states = append(states, state)
+			}
+			sort.Strings(states)
+			for _, state := range states {
+				emit(float64(byState[state]), state)
+			}
 		})
-	}
-	return out
 }
 
 // runCluster executes a corpus job through the cluster scheduler,

@@ -1,17 +1,18 @@
 package service
 
-// Trace inspection endpoints. Finished spans live in a bounded
-// in-process ring (obs.Ring); these handlers are the only way out. They
-// are debugging surface, not an export pipeline: the ring forgets, the
-// JSON is small, and a trace that spans processes (coordinator + worker)
-// is assembled by GET /debug/traces/{id}?cluster=1 — the coordinator
-// fans the trace ID out to every worker in its pool and merges the
-// remote spans with its own into one parent-linked tree.
+// Trace inspection endpoints. Kept traces live in the tracer's bounded
+// in-process store (obs.Store); these handlers are the only way out.
+// They are debugging surface, not an export pipeline: the store forgets,
+// the JSON is small, and a trace that spans processes (coordinator +
+// worker) is assembled by GET /debug/traces/{id}?cluster=1 — the
+// coordinator fans the trace ID out to every worker in its pool and
+// merges the remote spans with its own into one parent-linked tree.
 //
-// GET /debug/traces?outliers=1 lists the retained outlier traces: the
-// slow/5xx requests whose full span trees were committed at request end
-// regardless of head sampling. ?route= and ?min_ms= filter both
-// listings; ?cluster=1 federates the outlier view like the trace view.
+// GET /debug/traces lists the head-sampled and forced traces;
+// ?outliers=1 lists the retained outliers instead: the slow/5xx
+// requests whose full span trees were kept regardless of head sampling.
+// ?route= and ?min_ms= filter both listings; ?cluster=1 federates the
+// outlier view like the trace view.
 //
 // GET /debug/flight dumps the flight recorder: the black-box ring of
 // request/lease/job/outlier records kept regardless of trace sampling.
@@ -31,17 +32,12 @@ import (
 	"github.com/comet-explain/comet/internal/obs"
 )
 
-// handleTraces serves GET /debug/traces: recently finished traces, most
+// handleTraces serves GET /debug/traces: recently kept traces, most
 // recent first — or, with ?outliers=1, the retained slow/5xx traces.
 // ?limit= caps the listing (default 100), ?route= keeps one route, and
 // ?min_ms= drops entries faster than the threshold.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if !s.tracer.Enabled() {
-		writeError(w, http.StatusNotFound, "tracing is disabled (trace sample rate < 0)")
+	if !s.tracingAvailable(w, r) {
 		return
 	}
 	limit, err := queryInt(r, "limit", 100)
@@ -57,18 +53,10 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	route := q.Get("route")
 	if q.Get("outliers") == "1" {
-		if q.Get("cluster") == "1" && s.coordinator != nil {
-			s.serveFederatedOutliers(w, r, route, minMS, limit)
-			return
-		}
-		outliers, written := s.outliers.Snapshot()
-		writeJSON(w, http.StatusOK, map[string]any{
-			"outliers": filterOutliers(outliers, "", route, minMS, limit),
-			"written":  written,
-		})
+		s.serveOutliers(w, r, route, minMS, limit)
 		return
 	}
-	all := s.tracer.Ring().Traces(0)
+	all := s.tracer.Store().Traces(0)
 	traces := make([]obs.TraceSummary, 0, len(all))
 	for _, ts := range all {
 		if route != "" && ts.Root != route && ts.Root != "http."+route {
@@ -85,40 +73,71 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"traces": traces})
 }
 
-// filterOutliers applies the listing filters to an already newest-first
-// outlier snapshot, labeling each entry with process when non-empty.
-func filterOutliers(in []obs.OutlierTrace, process, route string, minMS, limit int) []obs.OutlierTrace {
-	out := make([]obs.OutlierTrace, 0, len(in))
-	for _, o := range in {
+// tracingAvailable answers the requests the trace views cannot serve
+// (wrong method, tracing off) and reports whether to go on.
+func (s *Server) tracingAvailable(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method != http.MethodGet {
+		writeError(w, http.StatusMethodNotAllowed, "GET required")
+		return false
+	}
+	if !s.tracer.Enabled() {
+		writeError(w, http.StatusNotFound, "tracing is disabled (trace sample rate < 0)")
+		return false
+	}
+	return true
+}
+
+// serveOutliers answers GET /debug/traces?outliers=1: the store's
+// outliers after the listing filters, newest first. With ?cluster=1 on a
+// coordinator, every live worker's outliers (queried with the same
+// filters) are merged in, each labeled with the process that kept it.
+func (s *Server) serveOutliers(w http.ResponseWriter, r *http.Request, route string, minMS, limit int) {
+	all, written := s.tracer.Store().Outliers()
+	outliers := make([]obs.TraceEntry, 0, len(all))
+	for _, o := range all {
 		if route != "" && o.Route != route {
 			continue
 		}
 		if minMS > 0 && o.DurationUS < int64(minMS)*1000 {
 			continue
 		}
-		if process != "" {
-			o.Process = process
-		}
-		out = append(out, o)
-		if limit > 0 && len(out) == limit {
+		outliers = append(outliers, o)
+		if limit > 0 && len(outliers) == limit {
 			break
 		}
 	}
-	return out
+	if r.URL.Query().Get("cluster") != "1" || s.coordinator == nil {
+		writeJSON(w, http.StatusOK, map[string]any{"outliers": outliers, "written": written})
+		return
+	}
+	for i := range outliers {
+		outliers[i].Process = s.cfg.ProcessLabel
+	}
+	processes := []traceProcess{{Process: s.cfg.ProcessLabel, Outliers: len(outliers)}}
+	peers := federate(s, r.Context(), withoutCluster(r.URL), "outliers",
+		func(o *obs.TraceEntry, process string) { o.Process = process })
+	for _, p := range peers {
+		processes = append(processes, traceProcess{Process: p.process, Outliers: len(p.items), Error: p.err})
+		outliers = append(outliers, p.items...)
+	}
+	sort.SliceStable(outliers, func(i, j int) bool { return outliers[i].Start.After(outliers[j].Start) })
+	if limit > 0 && len(outliers) > limit {
+		outliers = outliers[:limit]
+	}
+	writeJSON(w, http.StatusOK, map[string]any{
+		"cluster":   true,
+		"processes": processes,
+		"outliers":  outliers,
+	})
 }
 
-// handleTrace serves GET /debug/traces/{id}: every span the ring still
-// holds for one trace, oldest first. With ?cluster=1 on a coordinator,
-// the response is the federated view: local spans merged with the spans
+// handleTrace serves GET /debug/traces/{id}: every span the store holds
+// for one trace, oldest first. With ?cluster=1 on a coordinator, the
+// response is the federated view: local spans merged with the spans
 // every pool worker holds for the same trace ID, each labeled with the
 // process that recorded it.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if !s.tracer.Enabled() {
-		writeError(w, http.StatusNotFound, "tracing is disabled (trace sample rate < 0)")
+	if !s.tracingAvailable(w, r) {
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/debug/traces/")
@@ -126,16 +145,92 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such trace")
 		return
 	}
-	spans := s.tracer.Ring().Trace(id)
-	if r.URL.Query().Get("cluster") == "1" && s.coordinator != nil {
-		s.serveFederatedTrace(w, r, id, spans)
+	spans := s.tracer.Store().Trace(id)
+	if r.URL.Query().Get("cluster") != "1" || s.coordinator == nil {
+		if len(spans) == 0 {
+			writeError(w, http.StatusNotFound, "no spans recorded for trace %q (the store is bounded; old traces age out)", id)
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]any{"trace_id": id, "spans": spans})
 		return
 	}
-	if len(spans) == 0 {
-		writeError(w, http.StatusNotFound, "no spans recorded for trace %q (the ring is bounded; old traces age out)", id)
+	for i := range spans {
+		spans[i].Process = s.cfg.ProcessLabel
+	}
+	processes := []traceProcess{{Process: s.cfg.ProcessLabel, Spans: len(spans)}}
+	groups := [][]obs.SpanRecord{spans}
+	peers := federate(s, r.Context(), withoutCluster(r.URL), "spans",
+		func(sp *obs.SpanRecord, process string) { sp.Process = process })
+	for _, p := range peers {
+		processes = append(processes, traceProcess{Process: p.process, Spans: len(p.items), Error: p.err})
+		groups = append(groups, p.items)
+	}
+	merged := obs.MergeSpans(groups...)
+	if len(merged) == 0 {
+		writeError(w, http.StatusNotFound,
+			"no spans recorded for trace %q on the coordinator or any of %d workers", id, len(peers))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"trace_id": id, "spans": spans})
+	writeJSON(w, http.StatusOK, map[string]any{
+		"trace_id":  id,
+		"cluster":   true,
+		"processes": processes,
+		"spans":     merged,
+	})
+}
+
+// traceProcess summarizes one process's contribution to a federated
+// view (spans of one trace, or retained outliers).
+type traceProcess struct {
+	Process  string `json:"process"`
+	Spans    int    `json:"spans,omitempty"`
+	Outliers int    `json:"outliers,omitempty"`
+	// Error is set when the process could not be queried (down worker,
+	// timeout); its contribution is simply missing from the merged view.
+	Error string `json:"error,omitempty"`
+}
+
+// withoutCluster is the request's path and query minus ?cluster=1, so
+// workers answer their own view and federation never recurses.
+func withoutCluster(u *url.URL) string {
+	q := u.Query()
+	q.Del("cluster")
+	if len(q) == 0 {
+		return u.EscapedPath()
+	}
+	return u.EscapedPath() + "?" + q.Encode()
+}
+
+// peerItems is one worker's answer in a federated view.
+type peerItems[T any] struct {
+	process string
+	items   []T
+	err     string
+}
+
+// federate queries path on every live worker and decodes the JSON array
+// under field from each answer, labeling every item with its worker.
+// A worker holding nothing (404) contributes no items; one that cannot
+// be queried contributes its error.
+func federate[T any](s *Server, ctx context.Context, path, field string, label func(*T, string)) []peerItems[T] {
+	var out []peerItems[T]
+	for _, pr := range s.fanOutWorkers(ctx, path) {
+		p := peerItems[T]{process: pr.worker}
+		if pr.err == nil && pr.found {
+			var body map[string]json.RawMessage
+			if pr.err = json.Unmarshal(pr.body, &body); pr.err == nil {
+				pr.err = json.Unmarshal(body[field], &p.items)
+			}
+		}
+		if pr.err != nil {
+			p.items, p.err = nil, pr.err.Error()
+		}
+		for i := range p.items {
+			label(&p.items[i], pr.worker)
+		}
+		out = append(out, p)
+	}
+	return out
 }
 
 // peerClient fetches remote debug views during federation; the short
@@ -203,121 +298,6 @@ func fetchPeerJSON(ctx context.Context, baseURL, path string) ([]byte, bool, err
 		return nil, false, err
 	}
 	return body, true, nil
-}
-
-// decodePeerBody unmarshals a peer's raw federation answer.
-func decodePeerBody(body []byte, v any) error { return json.Unmarshal(body, v) }
-
-// traceProcess summarizes one process's contribution to a federated
-// view (spans of one trace, or retained outliers).
-type traceProcess struct {
-	Process  string `json:"process"`
-	Spans    int    `json:"spans,omitempty"`
-	Outliers int    `json:"outliers,omitempty"`
-	// Error is set when the process could not be queried (down worker,
-	// timeout); its contribution is simply missing from the merged view.
-	Error string `json:"error,omitempty"`
-}
-
-// serveFederatedTrace answers GET /debug/traces/{id}?cluster=1 on a
-// coordinator: concurrent fan-out of the trace ID to every live worker,
-// then a merge of remote and local spans into one parent-linked set.
-// Workers are queried without ?cluster=1, so federation never recurses.
-func (s *Server) serveFederatedTrace(w http.ResponseWriter, r *http.Request, id string, local []obs.SpanRecord) {
-	for i := range local {
-		local[i].Process = s.cfg.ProcessLabel
-	}
-	processes := []traceProcess{{Process: s.cfg.ProcessLabel, Spans: len(local)}}
-	groups := [][]obs.SpanRecord{local}
-	workerCount := 0
-
-	for _, pr := range s.fanOutWorkers(r.Context(), "/debug/traces/"+url.PathEscape(id)) {
-		workerCount++
-		var spans []obs.SpanRecord
-		if pr.err == nil && pr.found {
-			var body struct {
-				Spans []obs.SpanRecord `json:"spans"`
-			}
-			if err := decodePeerBody(pr.body, &body); err != nil {
-				pr.err = err
-			} else {
-				spans = body.Spans
-			}
-		}
-		for k := range spans {
-			spans[k].Process = pr.worker
-		}
-		p := traceProcess{Process: pr.worker, Spans: len(spans)}
-		if pr.err != nil {
-			p.Error = pr.err.Error()
-		}
-		processes = append(processes, p)
-		groups = append(groups, spans)
-	}
-
-	merged := obs.MergeSpans(groups...)
-	if len(merged) == 0 {
-		writeError(w, http.StatusNotFound,
-			"no spans recorded for trace %q on the coordinator or any of %d workers", id, workerCount)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"trace_id":  id,
-		"cluster":   true,
-		"processes": processes,
-		"spans":     merged,
-	})
-}
-
-// serveFederatedOutliers answers GET /debug/traces?outliers=1&cluster=1:
-// the coordinator's retained outliers merged with every live worker's,
-// newest first, each labeled with the process that retained it. Filters
-// are forwarded, so workers ship only what the view keeps.
-func (s *Server) serveFederatedOutliers(w http.ResponseWriter, r *http.Request, route string, minMS, limit int) {
-	local, _ := s.outliers.Snapshot()
-	merged := filterOutliers(local, s.cfg.ProcessLabel, route, minMS, 0)
-	processes := []traceProcess{{Process: s.cfg.ProcessLabel, Outliers: len(merged)}}
-
-	path := "/debug/traces?outliers=1"
-	if route != "" {
-		path += "&route=" + url.QueryEscape(route)
-	}
-	if minMS > 0 {
-		path += fmt.Sprintf("&min_ms=%d", minMS)
-	}
-	if limit > 0 {
-		path += fmt.Sprintf("&limit=%d", limit)
-	}
-	for _, pr := range s.fanOutWorkers(r.Context(), path) {
-		p := traceProcess{Process: pr.worker}
-		if pr.err == nil && pr.found {
-			var body struct {
-				Outliers []obs.OutlierTrace `json:"outliers"`
-			}
-			if err := decodePeerBody(pr.body, &body); err != nil {
-				pr.err = err
-			} else {
-				for k := range body.Outliers {
-					body.Outliers[k].Process = pr.worker
-				}
-				p.Outliers = len(body.Outliers)
-				merged = append(merged, body.Outliers...)
-			}
-		}
-		if pr.err != nil {
-			p.Error = pr.err.Error()
-		}
-		processes = append(processes, p)
-	}
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Start.After(merged[j].Start) })
-	if limit > 0 && len(merged) > limit {
-		merged = merged[:limit]
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"cluster":   true,
-		"processes": processes,
-		"outliers":  merged,
-	})
 }
 
 // handleFlight serves GET /debug/flight: the flight recorder's current

@@ -358,7 +358,7 @@ func TestFederatedTraceAcrossProcesses(t *testing.T) {
 	}
 
 	// And the tree renders: every process label appears in WriteTree
-	// output, the human surface comet-trace prints.
+	// output, the human surface comet-top -trace prints.
 	var sb strings.Builder
 	obs.WriteTree(&sb, fed.Spans, 30)
 	rendered := sb.String()

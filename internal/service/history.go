@@ -1,9 +1,10 @@
 package service
 
-// Telemetry history wiring: which live counters the background sampler
-// (obs.History) snapshots each tick, and the GET /debug/history endpoint
-// that serves the retained windows — locally, or federated across the
-// cluster with ?cluster=1.
+// Telemetry history wiring: the background sampler (obs.History)
+// snapshots the series declared with the metric registry's instruments
+// (see metrics.go), plus the derived series below, and GET
+// /debug/history serves the retained windows — locally, or federated
+// across the cluster with ?cluster=1.
 //
 // Series names are dot-paths grouped by subsystem so clients (comet-top)
 // can select by prefix:
@@ -24,82 +25,46 @@ package service
 // independent of request volume.
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
-	"runtime"
 	"time"
 
 	"github.com/comet-explain/comet/internal/obs"
 )
 
-// registerHistory wires every history series. Called once in New, after
-// the mux (and therefore every route's stats slot) is built.
+// registerHistory wires the history: the registry offers its declared
+// series before every tick (so per-spec series appear with their
+// specs), and the derived series — status-class rates and hit ratios,
+// which combine several instruments — are registered here. Called once
+// in New, after the mux (and therefore every route's stats slot) is
+// built.
 func (s *Server) registerHistory() {
 	h := s.history
+	h.BeforeSample = func() { s.metrics.reg.Offer(h) }
 	for _, rs := range s.metrics.routeList() {
-		rs := rs
-		prefix := "route." + rs.name
-		h.Rate(prefix+".rps", func() float64 { return float64(rs.latency.count.Load()) })
-		h.Rate(prefix+".rps_2xx", codeRange(rs, 200, 300))
-		h.Rate(prefix+".rps_4xx", codeRange(rs, 400, 500))
-		h.Rate(prefix+".rps_5xx", codeRange(rs, 500, 600))
-		h.Value(prefix+".p50_ms", quantileSeries(&rs.latency, 0.50))
-		h.Value(prefix+".p99_ms", quantileSeries(&rs.latency, 0.99))
+		for _, class := range []int{2, 4, 5} {
+			rs, lo := rs, class*100
+			h.Rate(fmt.Sprintf("route.%s.rps_%dxx", rs.name, class),
+				func() float64 { return float64(rs.codeCount(lo, lo+100)) })
+		}
 	}
+	m := s.metrics
 	h.Value("hit_rate.prediction_cache", ratioSeries(
 		func() uint64 { hits, _ := s.models.cacheTotals(); return hits },
 		func() uint64 { hits, misses := s.models.cacheTotals(); return hits + misses },
 	))
 	h.Value("hit_rate.intern", ratioSeries(
-		func() uint64 { return s.metrics.internHits.Load() },
+		m.internHits.Load,
 		// Every binary frame request consults the intern table: hits answer
 		// from it, misses go on to decode (frameRequests).
-		func() uint64 { return s.metrics.internHits.Load() + s.metrics.frameRequests.Load() },
+		func() uint64 { return m.internHits.Load() + m.frameRequests.Load() },
 	))
 	h.Value("hit_rate.persist", ratioSeries(
-		func() uint64 { return s.metrics.persistHits.Load() },
-		func() uint64 { return s.metrics.persistHits.Load() + s.metrics.persistMisses.Load() },
+		m.persistHits.Load,
+		func() uint64 { return m.persistHits.Load() + m.persistMisses.Load() },
 	))
-	explainRoute := s.metrics.route("explain")
-	h.Value("hit_rate.result_store", ratioSeries(
-		func() uint64 { return s.metrics.resultStoreHits.Load() },
-		func() uint64 { return explainRoute.latency.count.Load() },
-	))
-	h.Gauge("queue.explain_waiting", func() float64 { return float64(s.explainWaiting.Load()) })
-	h.Gauge("queue.explain_inflight", func() float64 { return float64(len(s.explainSlots)) })
-	h.Gauge("queue.jobs", func() float64 { return float64(s.jobs.queued.Load()) })
-	h.Gauge("jobs.running", func() float64 { return float64(s.jobs.running.Load()) })
-	h.Gauge("runtime.goroutines", func() float64 { return float64(runtime.NumGoroutine()) })
-	h.Gauge("runtime.heap_bytes", func() float64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return float64(ms.HeapAlloc)
-	})
-	h.Rate("explain.computed_rps", func() float64 { return float64(s.metrics.explanations.Load()) })
-	h.Rate("explain.coalesced_rps", func() float64 { return float64(s.metrics.coalesced.Load()) })
-	h.Rate("outliers.rps", func() float64 { return float64(s.outliers.Written()) })
-
-	// Per-spec quality series appear as specs do: the hook re-offers every
-	// known spec each tick, and registration is idempotent (first wins).
-	h.BeforeSample = func() {
-		s.metrics.specQuality.Range(func(k, v any) bool {
-			spec, q := k.(string), v.(*qualityStats)
-			h.Rate("spec."+spec+".explanations_rps", func() float64 { return float64(q.count.Load()) })
-			h.Value("spec."+spec+".precision_mean", histMeanSeries(&q.precision))
-			return true
-		})
-	}
-}
-
-// codeRange returns a reader summing a route's status counters over
-// [lo, hi) — the monotonic counter behind a status-class rate series.
-func codeRange(rs *routeStats, lo, hi int) func() float64 {
-	return func() float64 {
-		var n uint64
-		for c := lo; c < hi; c++ {
-			n += rs.codes[c-100].Load()
-		}
-		return float64(n)
-	}
+	h.Value("hit_rate.result_store", ratioSeries(m.resultStoreHits.Load, m.route("explain").latency.Count))
 }
 
 // ratioSeries returns a value reader computing num-delta / den-delta per
@@ -113,71 +78,11 @@ func ratioSeries(num, den func() uint64) func() (float64, bool) {
 		n, d := num(), den()
 		dn, dd := n-prevNum, d-prevDen
 		prevNum, prevDen = n, d
-		if first {
+		if first || dd == 0 {
 			first = false
-			return 0, false
-		}
-		if dd == 0 {
 			return 0, false
 		}
 		return float64(dn) / float64(dd), true
-	}
-}
-
-// quantileSeries returns a value reader estimating a latency quantile in
-// milliseconds over each tick's histogram bucket deltas (the bucket's
-// upper bound, the standard conservative estimate). The closure keeps
-// its previous snapshot in reused slices, so a tick allocates nothing;
-// the sampler goroutine is its only caller. An idle tick is a gap.
-func quantileSeries(hist *histogram, q float64) func() (float64, bool) {
-	prev := make([]uint64, len(hist.counts))
-	cur := make([]uint64, len(hist.counts))
-	return func() (float64, bool) {
-		var total uint64
-		for i := range hist.counts {
-			cur[i] = hist.counts[i].Load()
-			total += cur[i] - prev[i]
-		}
-		defer copy(prev, cur)
-		if total == 0 {
-			return 0, false
-		}
-		rank := uint64(float64(total) * q)
-		if rank >= total {
-			rank = total - 1
-		}
-		var cum uint64
-		for i, bound := range hist.bounds {
-			cum += cur[i] - prev[i]
-			if cum > rank {
-				return bound * 1000, true
-			}
-		}
-		// Overflow bucket: everything past the largest bound.
-		return hist.bounds[len(hist.bounds)-1] * 1000, true
-	}
-}
-
-// histMeanSeries returns a value reader computing a histogram's per-tick
-// mean (delta sum over delta count) — the windowed average precision of
-// explanations computed during the tick.
-func histMeanSeries(hist *histogram) func() (float64, bool) {
-	var prevCount uint64
-	var prevSum float64
-	first := true
-	return func() (float64, bool) {
-		count := hist.count.Load()
-		sum := hist.sum()
-		dc, ds := count-prevCount, sum-prevSum
-		prevCount, prevSum = count, sum
-		if first {
-			first = false
-			return 0, false
-		}
-		if dc == 0 {
-			return 0, false
-		}
-		return ds / float64(dc), true
 	}
 }
 
@@ -219,7 +124,7 @@ func (s *Server) serveFederatedHistory(w http.ResponseWriter, r *http.Request) {
 			p.Error = pr.err.Error()
 		} else if pr.found {
 			var dump obs.HistoryDump
-			if err := decodePeerBody(pr.body, &dump); err != nil {
+			if err := json.Unmarshal(pr.body, &dump); err != nil {
 				p.Error = err.Error()
 			} else {
 				dump.Process = pr.worker

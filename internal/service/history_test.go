@@ -6,6 +6,7 @@ package service
 // and the slow-request counter.
 
 import (
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -177,7 +178,7 @@ func TestFederatedHistoryDownWorker(t *testing.T) {
 
 // TestOutlierRetention: with a 1ms slow threshold and head sampling
 // effectively off, a computed explain request still commits its full
-// span tree to the outlier ring — the trace head sampling would have
+// span tree as an outlier — the trace head sampling would have
 // thrown away — and ticks comet_slow_requests_total plus the flight
 // recorder.
 func TestOutlierRetention(t *testing.T) {
@@ -198,15 +199,15 @@ func TestOutlierRetention(t *testing.T) {
 	}
 
 	var got struct {
-		Outliers []obs.OutlierTrace `json:"outliers"`
-		Written  uint64             `json:"written"`
+		Outliers []obs.TraceEntry `json:"outliers"`
+		Written  uint64           `json:"written"`
 	}
 	getJSON(t, ts.URL+"/debug/traces?outliers=1&route=explain", &got)
 	if len(got.Outliers) != 1 {
 		t.Fatalf("retained %d explain outliers, want 1: %+v", len(got.Outliers), got.Outliers)
 	}
 	o := got.Outliers[0]
-	if o.TraceID != traceID || o.Route != "explain" || o.Reason != obs.OutlierSlow || o.Status != 200 {
+	if o.TraceID != traceID || o.Route != "explain" || o.Reason != "slow" || o.Status != 200 {
 		t.Fatalf("outlier: %+v", o)
 	}
 	if o.DurationUS < 1000 {
@@ -230,9 +231,9 @@ func TestOutlierRetention(t *testing.T) {
 		t.Errorf("root/compute records: %+v / %+v", root, compute)
 	}
 
-	// The main ring must NOT hold the trace: it was unsampled.
+	// The trace listing must NOT show it: it was unsampled.
 	if resp := getJSON(t, ts.URL+"/debug/traces/"+traceID, nil); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unsampled outlier leaked into the main ring: status %d", resp.StatusCode)
+		t.Errorf("unsampled outlier leaked into the trace listing: status %d", resp.StatusCode)
 	}
 
 	// Counter and flight record agree.
@@ -244,7 +245,7 @@ func TestOutlierRetention(t *testing.T) {
 	for _, r := range recs {
 		if r["kind"] == "outlier" && r["route"] == "explain" {
 			found = true
-			if r["trace_id"] != traceID || r["state"] != obs.OutlierSlow {
+			if r["trace_id"] != traceID || r["state"] != "slow" {
 				t.Errorf("outlier flight record: %v", r)
 			}
 		}
@@ -266,13 +267,13 @@ func TestOutlierErrorReason(t *testing.T) {
 		t.Fatalf("cold /readyz: status %d", resp.StatusCode)
 	}
 	var got struct {
-		Outliers []obs.OutlierTrace `json:"outliers"`
+		Outliers []obs.TraceEntry `json:"outliers"`
 	}
 	getJSON(t, ts.URL+"/debug/traces?outliers=1", &got)
 	if len(got.Outliers) != 1 {
 		t.Fatalf("retained %d outliers, want 1", len(got.Outliers))
 	}
-	if o := got.Outliers[0]; o.Route != "readyz" || o.Reason != obs.OutlierError || o.Status != 503 {
+	if o := got.Outliers[0]; o.Route != "readyz" || o.Reason != "error" || o.Status != 503 {
 		t.Fatalf("outlier: %+v", o)
 	}
 }
@@ -313,7 +314,7 @@ func TestTraceListFilters(t *testing.T) {
 	}
 
 	var outliers struct {
-		Outliers []obs.OutlierTrace `json:"outliers"`
+		Outliers []obs.TraceEntry `json:"outliers"`
 	}
 	getJSON(t, ts.URL+"/debug/traces?outliers=1&min_ms=3600000", &outliers)
 	if len(outliers.Outliers) != 0 {
@@ -322,5 +323,78 @@ func TestTraceListFilters(t *testing.T) {
 	getJSON(t, ts.URL+"/debug/traces?outliers=1&limit=1", &outliers)
 	if len(outliers.Outliers) > 1 {
 		t.Errorf("limit=1 returned %d outliers", len(outliers.Outliers))
+	}
+}
+
+// TestJobStreamIsNotSlow: a job result stream stays open for the whole
+// job, so its duration measures the job, not the server. A stream held
+// open well past a 1ms threshold is neither counted nor kept as a slow
+// outlier.
+func TestJobStreamIsNotSlow(t *testing.T) {
+	_, ts := newTestServer(t, Config{TraceSlowMS: 1})
+	id := streamJob(t, ts.URL, []string{testBlock, "add rax, rbx", "pop rcx"})
+	start := time.Now()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if held := time.Since(start); resp.StatusCode != http.StatusOK || held < 2*time.Millisecond {
+		t.Fatalf("stream: status %d, held open %v (want past the 1ms threshold)", resp.StatusCode, held)
+	}
+
+	var got struct {
+		Outliers []obs.TraceEntry `json:"outliers"`
+	}
+	getJSON(t, ts.URL+"/debug/traces?outliers=1&route=jobs", &got)
+	if len(got.Outliers) != 0 {
+		t.Errorf("job stream kept as an outlier: %+v", got.Outliers)
+	}
+	if text := fetchMetrics(t, ts.URL); strings.Contains(text, `comet_slow_requests_total{route="jobs"}`) {
+		t.Error("job stream counted as a slow request")
+	}
+	_, recs := flightDump(t, ts.URL)
+	for _, r := range recs {
+		if r["kind"] == "outlier" && r["route"] == "jobs" {
+			t.Errorf("job stream wrote an outlier flight record: %v", r)
+		}
+	}
+}
+
+// TestOutlierSurvivesSampledFlood: with one trace store, head-sampled
+// traffic filling it several times over must not push out a retained
+// outlier or its span tree.
+func TestOutlierSurvivesSampledFlood(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		TraceRingSize: 64,
+		TraceSample:   1,      // every request is head-sampled into the store
+		TraceSlowMS:   60_000, // only the status can make an outlier
+	})
+	// A cold server's /readyz answers 503: one error outlier.
+	if resp := getJSON(t, ts.URL+"/readyz", nil); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("cold /readyz: status %d", resp.StatusCode)
+	}
+	for i := 0; i < 5*64; i++ {
+		getJSON(t, ts.URL+"/healthz", nil)
+	}
+
+	var listing struct {
+		Traces []obs.TraceSummary `json:"traces"`
+	}
+	getJSON(t, ts.URL+"/debug/traces?route=healthz&limit=0", &listing)
+	if len(listing.Traces) < 32 {
+		t.Fatalf("store lists only %d sampled healthz traces; the flood did not fill it", len(listing.Traces))
+	}
+	var got struct {
+		Outliers []obs.TraceEntry `json:"outliers"`
+	}
+	getJSON(t, ts.URL+"/debug/traces?outliers=1", &got)
+	if len(got.Outliers) != 1 {
+		t.Fatalf("retained %d outliers after the flood, want 1: %+v", len(got.Outliers), got.Outliers)
+	}
+	o := got.Outliers[0]
+	if o.Route != "readyz" || o.Reason != "error" || len(o.Spans) != 1 || o.Spans[0].Name != "http.readyz" {
+		t.Errorf("outlier after the flood: %+v", o)
 	}
 }

@@ -441,7 +441,7 @@ func (m *jobManager) run(j *job) {
 		span.Set("state", state)
 		span.SetInt("done", int64(done))
 		span.SetInt("failed", int64(failed))
-		span.End()
+		m.tracer.Commit(span, obs.Outcome{Trace: span.TraceID(), Route: "job", Start: start, Elapsed: time.Since(start)})
 		m.flightJob(j, state)
 		if m.log != nil {
 			attrs := []slog.Attr{
@@ -659,11 +659,9 @@ func (m *jobManager) shutdown(ctx context.Context) error {
 	}
 }
 
-// gauges reports queue and job-state metrics.
-func (m *jobManager) gauges() []gauge {
-	return []gauge{
-		{name: "comet_job_queue_depth", value: float64(m.queued.Load())},
-		{name: "comet_jobs_running", value: float64(m.running.Load())},
-		{name: "comet_jobs_finished", value: float64(m.history.len())},
-	}
+// declareMetrics declares the queue and job-state gauges.
+func (m *jobManager) declareMetrics(reg *obs.Registry) {
+	gauge(reg, "comet_job_queue_depth", "Corpus jobs queued for a job worker.", "queue.jobs", m.queued.Load)
+	gauge(reg, "comet_jobs_running", "Corpus jobs executing.", "jobs.running", m.running.Load)
+	gauge(reg, "comet_jobs_finished", "Finished corpus jobs retained for polling.", "", m.history.len)
 }

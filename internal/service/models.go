@@ -2,7 +2,6 @@ package service
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -10,6 +9,7 @@ import (
 
 	"github.com/comet-explain/comet"
 	"github.com/comet-explain/comet/internal/costmodel"
+	"github.com/comet-explain/comet/internal/obs"
 	"github.com/comet-explain/comet/internal/wire"
 	"github.com/comet-explain/comet/internal/x86"
 )
@@ -224,51 +224,54 @@ func (r *modelRegistry) warmedSpecs() []string {
 	return out
 }
 
-// cacheGauges snapshots every warmed entry's prediction cache for
-// /metrics, in stable key order.
-func (r *modelRegistry) cacheGauges() []gauge {
+// warmEntries lists the warmed entries in key order. Entries still
+// warming (or failed) are left out; their caches are empty anyway.
+func (r *modelRegistry) warmEntries() []*modelEntry {
 	r.mu.Lock()
 	keys := make([]string, 0, len(r.entries))
-	byKey := make(map[string]*modelEntry, len(r.entries))
-	for k, e := range r.entries {
+	for k := range r.entries {
 		keys = append(keys, k)
-		byKey[k] = e
+	}
+	sort.Strings(keys)
+	out := make([]*modelEntry, 0, len(keys))
+	for _, k := range keys {
+		out = append(out, r.entries[k])
 	}
 	r.mu.Unlock()
-	sort.Strings(keys)
-	var out []gauge
-	for _, k := range keys {
-		e := byKey[k]
-		if !e.warm.Load() || e.err != nil {
-			// Warm-up still in flight (or failed); its cache is empty anyway.
-			continue
+	warm := out[:0]
+	for _, e := range out {
+		if e.warm.Load() && e.err == nil {
+			warm = append(warm, e)
 		}
-		stats := e.cache.Stats()
-		labels := fmt.Sprintf("model=%q,arch=%q", e.spec.Name, wire.ArchName(e.model.Arch()))
-		out = append(out,
-			gauge{name: "comet_prediction_cache_hits_total", labels: labels, value: float64(stats.Hits)},
-			gauge{name: "comet_prediction_cache_misses_total", labels: labels, value: float64(stats.Misses)},
-			gauge{name: "comet_prediction_cache_hit_rate", labels: labels, value: stats.HitRate()},
-			gauge{name: "comet_prediction_cache_entries", labels: labels, value: float64(stats.Entries)},
-		)
 	}
-	return out
+	return warm
+}
+
+// declareMetrics declares the per-model prediction-cache gauges.
+func (r *modelRegistry) declareMetrics(reg *obs.Registry) {
+	cache := func(name, help string, read func(costmodel.CacheStats) float64) {
+		reg.GaugeVec(obs.Desc{Name: name, Help: help, Labels: []string{"model", "arch"}},
+			func(emit func(float64, ...string)) {
+				for _, e := range r.warmEntries() {
+					emit(read(e.cache.Stats()), e.spec.Name, wire.ArchName(e.model.Arch()))
+				}
+			})
+	}
+	cache("comet_prediction_cache_hits_total", "Prediction-cache hits, by model and arch.",
+		func(st costmodel.CacheStats) float64 { return float64(st.Hits) })
+	cache("comet_prediction_cache_misses_total", "Prediction-cache misses, by model and arch.",
+		func(st costmodel.CacheStats) float64 { return float64(st.Misses) })
+	cache("comet_prediction_cache_hit_rate", "Prediction-cache hit fraction, by model and arch.",
+		func(st costmodel.CacheStats) float64 { return st.HitRate() })
+	cache("comet_prediction_cache_entries", "Prediction-cache entries, by model and arch.",
+		func(st costmodel.CacheStats) float64 { return float64(st.Entries) })
 }
 
 // cacheTotals sums prediction-cache hits and misses across every warmed
 // entry — the aggregate counters behind the history's
 // hit_rate.prediction_cache series.
 func (r *modelRegistry) cacheTotals() (hits, misses uint64) {
-	r.mu.Lock()
-	entries := make([]*modelEntry, 0, len(r.entries))
-	for _, e := range r.entries {
-		entries = append(entries, e)
-	}
-	r.mu.Unlock()
-	for _, e := range entries {
-		if !e.warm.Load() || e.err != nil {
-			continue
-		}
+	for _, e := range r.warmEntries() {
 		st := e.cache.Stats()
 		hits += st.Hits
 		misses += st.Misses

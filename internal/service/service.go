@@ -26,7 +26,7 @@
 // Every request is assigned (or joins, via an incoming W3C traceparent
 // header) a trace; the trace ID comes back in the X-Comet-Trace-Id
 // response header, sampled traces record per-stage spans into a bounded
-// in-process ring served by /debug/traces, and ?trace=1 or ?profile=1
+// in-process store served by /debug/traces, and ?trace=1 or ?profile=1
 // forces sampling for the one request being debugged. ?profile=1 on
 // /v1/explain additionally attaches the per-stage wall-time profile to
 // the response body.
@@ -86,7 +86,6 @@ import (
 	"github.com/comet-explain/comet/internal/costmodel"
 	"github.com/comet-explain/comet/internal/obs"
 	"github.com/comet-explain/comet/internal/persist"
-	"github.com/comet-explain/comet/internal/version"
 	"github.com/comet-explain/comet/internal/wire"
 	"github.com/comet-explain/comet/internal/x86"
 )
@@ -174,8 +173,9 @@ type Config struct {
 	// persistence layers log through component-tagged children of it
 	// (nil = slog.Default()).
 	Logger *slog.Logger
-	// TraceRingSize bounds the finished-span ring served by
-	// GET /debug/traces (0 = 4096 spans).
+	// TraceRingSize bounds the trace store served by GET /debug/traces —
+	// head-sampled and forced traces plus retained outliers — in spans
+	// (0 = 4096).
 	TraceRingSize int
 	// TraceSample records one in N traces on the hot routes —
 	// /v1/explain, /v1/predict, and the health/metrics probes. Corpus
@@ -187,14 +187,12 @@ type Config struct {
 	// transition regardless of trace sampling, served by GET /debug/flight
 	// and dumped on SIGQUIT (0 = 2048 records).
 	FlightRecorderSize int
-	// TraceSlowMS is the outlier threshold in milliseconds: a hot-route
-	// request slower than this (or any request with status ≥ 500) commits
-	// its full span tree to the outlier ring regardless of head sampling
-	// (0 = 500; negative disables outlier retention).
+	// TraceSlowMS is the outlier threshold in milliseconds: a request
+	// slower than this (job result streams excepted — they stay open for
+	// the whole job) or any request with status ≥ 500 keeps its full span
+	// tree in the trace store regardless of head sampling (0 = 500;
+	// negative disables outlier retention).
 	TraceSlowMS int
-	// OutlierRingSize bounds the retained outlier traces served by
-	// GET /debug/traces?outliers=1 (0 = 256).
-	OutlierRingSize int
 	// HistoryRingSize bounds the per-series telemetry history served by
 	// GET /debug/history, in samples (0 = 600 — ten minutes at the
 	// default interval).
@@ -271,9 +269,6 @@ func (c Config) withDefaults() Config {
 	if c.TraceSlowMS == 0 {
 		c.TraceSlowMS = 500
 	}
-	if c.OutlierRingSize <= 0 {
-		c.OutlierRingSize = 256
-	}
 	if c.HistoryRingSize <= 0 {
 		c.HistoryRingSize = 600
 	}
@@ -311,7 +306,6 @@ type Server struct {
 	coordinator *cluster.Coordinator
 	tracer      *obs.Tracer
 	flight      *obs.FlightRecorder
-	outliers    *obs.OutlierRing
 	history     *obs.History
 	// slowThreshold is the outlier latency cutoff; 0 disables retention.
 	slowThreshold time.Duration
@@ -353,7 +347,6 @@ func New(cfg Config) *Server {
 	}
 	s.tracer = obs.NewTracer(cfg.TraceRingSize, sampleN)
 	s.flight = obs.NewFlightRecorder(cfg.FlightRecorderSize)
-	s.outliers = obs.NewOutlierRing(cfg.OutlierRingSize)
 	if cfg.TraceSlowMS > 0 {
 		s.slowThreshold = time.Duration(cfg.TraceSlowMS) * time.Millisecond
 	}
@@ -405,6 +398,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/debug/traces/", s.instrument("debug", s.handleTrace))
 	s.mux.HandleFunc("/debug/flight", s.instrument("debug", s.handleFlight))
 	s.mux.HandleFunc("/debug/history", s.instrument("debug", s.handleHistory))
+	s.declareMetrics()
 	s.registerHistory()
 	if cfg.HistoryInterval >= 0 {
 		s.history.Start()
@@ -477,18 +471,17 @@ var sampledRoutes = map[string]bool{
 
 // instrument wraps a handler with the per-request observability stack:
 // trace extraction/minting (W3C traceparent in, X-Comet-Trace-Id out), a
-// root span for sampled traces, lock-free request counting and latency
-// recording, outlier retention, and a structured request log line. The
-// route's stats slot and span name are resolved once at wiring time.
+// root span, lock-free request counting and latency recording, outlier
+// retention, and a structured request log line. The route's stats slot
+// and span name are resolved once at wiring time.
 //
-// Hot-route requests additionally buffer their spans into a pooled
-// SpanBuffer regardless of the head-sampling decision; at request end a
-// request that turned out slow (past the configured threshold) or broken
-// (status ≥ 500) commits the full buffered trace to the outlier ring —
-// tail-based retention of exactly the traces head sampling would have
-// thrown away. The interned binary warm path is exempt (it must not pay
-// even a pool Get — see the bench gate), as are force-traced routes,
-// whose spans are already in the main ring.
+// Hot-route requests record their spans provisionally whatever the
+// head-sampling decision; at request end Tracer.Commit keeps the trace
+// if it was sampled or forced, or if it turned out slow (past the
+// configured threshold) or broken (status ≥ 500) — tail-based retention
+// of exactly the traces head sampling would have thrown away. Binary
+// frame requests skip the provisional recording: the interned warm path
+// must not pay even a pool Get (see the bench gate).
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	rs := s.metrics.route(route)
 	spanName := "http." + route
@@ -505,19 +498,8 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		if tp := r.Header.Get("Traceparent"); tp != "" {
 			parent, _ = obs.ParseTraceparent(tp)
 		}
-		forced := force || forcedTrace(r)
-		var (
-			ctx   context.Context
-			span  *obs.Span
-			trace obs.TraceID
-			buf   *obs.SpanBuffer
-		)
-		if !forced && s.slowThreshold > 0 && s.tracer.Enabled() && !isFrameRequest(r) {
-			buf = obs.GetSpanBuffer()
-			ctx, span, trace = s.tracer.StartRootBuffered(r.Context(), spanName, parent, buf)
-		} else {
-			ctx, span, trace = s.tracer.StartRoot(r.Context(), spanName, parent, forced)
-		}
+		tail := s.slowThreshold > 0 && !isFrameRequest(r)
+		ctx, span, trace := s.tracer.Start(r.Context(), spanName, parent, force || forcedTrace(r), tail)
 		if !trace.IsZero() {
 			w.Header().Set("X-Comet-Trace-Id", trace.String())
 		}
@@ -537,35 +519,19 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			LatencyUS: elapsed.Microseconds(),
 			Trace:     trace,
 		})
-		if span != nil {
-			span.Set("method", r.Method)
-			span.Set("status", statusLabel(rec.code))
-			span.End()
+		span.Set("method", r.Method)
+		span.Set("status", statusLabel(rec.code))
+		o := obs.Outcome{Trace: trace, Route: route, Status: rec.code, Start: start, Elapsed: elapsed}
+		if s.slowThreshold > 0 {
+			if rec.code >= 500 {
+				o.Kept = obs.KeptError
+			} else if elapsed >= s.slowThreshold && !isJobStream(r) {
+				o.Kept = obs.KeptSlow
+			}
 		}
-		outlier := s.slowThreshold > 0 && (elapsed >= s.slowThreshold || rec.code >= 500)
-		if buf != nil {
-			// The commit decision: a healthy fast request recycles its buffer
-			// untouched (no conversion, no allocation); a sampled one flushes
-			// to the main ring; an outlier lands in the outlier ring with its
-			// full span tree.
-			if outlier || buf.Sampled() {
-				recs := buf.Records(time.Now())
-				if buf.Sampled() {
-					s.tracer.Flush(recs)
-				}
-				if outlier {
-					s.commitOutlier(rs, route, trace, rec.code, start, elapsed, recs)
-				}
-			}
-			obs.PutSpanBuffer(buf)
-		} else if outlier {
-			// Force-traced (or frame-path) outliers: the spans, if any, are
-			// already in the main ring — retain a copy with the trace.
-			var spans []obs.SpanRecord
-			if span != nil {
-				spans = s.tracer.Ring().Trace(trace.String())
-			}
-			s.commitOutlier(rs, route, trace, rec.code, start, elapsed, spans)
+		s.tracer.Commit(span, o)
+		if o.Kept != 0 {
+			s.recordOutlier(o)
 		}
 		if s.log.Enabled(r.Context(), logLevel) {
 			s.log.LogAttrs(r.Context(), logLevel, "request",
@@ -578,46 +544,40 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// commitOutlier retains one slow-or-5xx request: its trace in the
-// outlier ring, a per-route counter tick, a flight record
-// cross-referencing the trace ID, and one structured warning — the four
-// places an operator looks, all agreeing.
-func (s *Server) commitOutlier(rs *routeStats, route string, trace obs.TraceID,
-	code int, start time.Time, elapsed time.Duration, spans []obs.SpanRecord) {
-	reason := obs.OutlierSlow
-	if code >= 500 {
-		reason = obs.OutlierError
-	}
-	s.outliers.Add(obs.OutlierTrace{
-		TraceID:    trace.String(),
-		Route:      route,
-		Status:     code,
-		Reason:     reason,
-		Start:      start.UTC(),
-		DurationUS: elapsed.Microseconds(),
-		Spans:      spans,
-	})
-	rs.slow.Add(1)
+// isJobStream reports whether r is a job result stream, which stays open
+// for the whole job: its duration measures the job, not the server, so
+// it is never a slow request.
+func isJobStream(r *http.Request) bool {
+	return strings.HasSuffix(r.URL.Path, "/stream")
+}
+
+// recordOutlier accounts for one slow-or-5xx request beside its kept
+// trace: a per-route counter tick, a flight record cross-referencing the
+// trace ID, and one structured warning — the places an operator looks,
+// all agreeing.
+func (s *Server) recordOutlier(o obs.Outcome) {
+	reason := o.Kept.String()
+	s.metrics.slow.With(o.Route).Add(1)
 	s.flight.Record(obs.FlightRecord{
 		Kind:      obs.FlightOutlier,
-		Route:     route,
-		Status:    code,
-		LatencyUS: elapsed.Microseconds(),
-		Trace:     trace,
+		Route:     o.Route,
+		Status:    o.Status,
+		LatencyUS: o.Elapsed.Microseconds(),
+		Trace:     o.Trace,
 		State:     reason,
 	})
 	s.log.LogAttrs(context.Background(), slog.LevelWarn, "slow request",
-		slog.String("route", route),
-		slog.Int("status", code),
-		slog.Duration("elapsed", elapsed),
+		slog.String("route", o.Route),
+		slog.Int("status", o.Status),
+		slog.Duration("elapsed", o.Elapsed),
 		slog.String("reason", reason),
-		obs.TraceAttr(trace))
+		obs.TraceAttr(o.Trace))
 }
 
 // statusLabel formats an HTTP status without allocating for the codes
-// this server actually writes. Since outlier retention, every buffered
-// request sets the attribute (not just the 1-in-N sampled ones), so the
-// formatting sits on the JSON warm path's alloc budget.
+// this server actually writes. Every provisionally recorded request sets
+// the attribute (not just the 1-in-N sampled ones), so the formatting
+// sits on the JSON warm path's alloc budget.
 func statusLabel(code int) string {
 	switch code {
 	case 200:
@@ -1223,42 +1183,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves GET /metrics in the Prometheus text format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var sb strings.Builder
-	// Runtime health is sampled at render time — gauges cost their reader,
-	// not the request path.
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	extra := []gauge{
-		{name: "comet_build_info",
-			labels: fmt.Sprintf("version=%q,goversion=%q", version.Version, runtime.Version()),
-			value:  1},
-		{name: "comet_explain_inflight", value: float64(len(s.explainSlots))},
-		{name: "comet_explain_waiting", value: float64(s.explainWaiting.Load())},
-		{name: "comet_result_store_entries", value: float64(s.results.len())},
-		{name: "comet_intern_entries", value: float64(s.intern.len())},
-		{name: "comet_goroutines", value: float64(runtime.NumGoroutine())},
-		{name: "comet_heap_bytes", value: float64(ms.HeapAlloc)},
-		{name: "comet_gc_pause_seconds_total", value: float64(ms.PauseTotalNs) / 1e9},
-		{name: "comet_gc_cycles_total", value: float64(ms.NumGC)},
-	}
-	extra = append(extra, s.jobs.gauges()...)
-	extra = append(extra, s.models.cacheGauges()...)
-	extra = append(extra, s.clusterGauges()...)
-	if s.store != nil {
-		st := s.store.Stats()
-		extra = append(extra,
-			gauge{name: "comet_store_entries", value: float64(st.Entries)},
-			gauge{name: "comet_store_live_bytes", value: float64(st.LiveBytes)},
-			gauge{name: "comet_store_total_bytes", value: float64(st.TotalBytes)},
-			gauge{name: "comet_store_segments", value: float64(st.Segments)},
-			gauge{name: "comet_store_hits_total", value: float64(st.Hits)},
-			gauge{name: "comet_store_misses_total", value: float64(st.Misses)},
-			gauge{name: "comet_store_puts_total", value: float64(st.Puts)},
-			gauge{name: "comet_store_corrupt_records_total", value: float64(st.CorruptRecords)},
-			gauge{name: "comet_store_evictions_total", value: float64(st.Evictions)},
-			gauge{name: "comet_store_compactions_total", value: float64(st.Compactions)},
-		)
-	}
-	s.metrics.render(&sb, extra)
+	s.metrics.reg.WriteText(&sb)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_, _ = w.Write([]byte(sb.String()))
 }
