@@ -116,27 +116,20 @@ func main() {
 	}
 }
 
-// processHistory is one process's entry in the federated history view.
-type processHistory struct {
-	Process string           `json:"process"`
-	Error   string           `json:"error,omitempty"`
-	History *obs.HistoryDump `json:"history,omitempty"`
-}
-
 // historyResp decodes both shapes GET /debug/history?cluster=1 can
 // answer with: the federated envelope (coordinator) and a plain dump
 // (standalone process or worker — it ignores ?cluster=1).
 type historyResp struct {
 	obs.HistoryDump
-	Cluster   bool             `json:"cluster"`
-	Processes []processHistory `json:"processes"`
+	Cluster   bool              `json:"cluster"`
+	Processes []obs.ProcessView `json:"processes"`
 }
 
 // snapshot is one polled frame — and, verbatim, the -once -json output.
 type snapshot struct {
 	Base      string              `json:"base"`
 	Polled    time.Time           `json:"polled"`
-	Processes []processHistory    `json:"processes"`
+	Processes []obs.ProcessView   `json:"processes"`
 	Cluster   *wire.ClusterStatus `json:"cluster,omitempty"`
 	Outliers  []obs.TraceEntry    `json:"outliers"`
 	// Err is set when the history poll itself failed (server down); the
@@ -158,7 +151,7 @@ func poll(client *inspect.Client, base string, maxOutliers int) snapshot {
 		snap.Processes = hist.Processes
 	} else {
 		dump := hist.HistoryDump
-		snap.Processes = []processHistory{{Process: dump.Process, History: &dump}}
+		snap.Processes = []obs.ProcessView{{Process: dump.Process, History: &dump}}
 	}
 
 	var status wire.ClusterStatus
@@ -219,7 +212,7 @@ func fmtLast(s obs.HistorySeries, format string) string {
 	return fmt.Sprintf(format, v)
 }
 
-func renderProcess(w io.Writer, p processHistory, width int) {
+func renderProcess(w io.Writer, p obs.ProcessView, width int) {
 	label := p.Process
 	if label == "" {
 		label = "local"

@@ -1,20 +1,9 @@
 package main
 
-// Trace mode (-trace): render one distributed trace as a span tree, or
-// list the traces the server's store still holds.
-//
-//	$ comet-top -trace list http://127.0.0.1:8372
-//	TRACE                             ROOT         SPANS  START                 DURATION
-//	86a1f07b2c...                     http.corpus     14  2026-08-08T10:11:12Z  412.3ms
-//
-//	$ comet-top -trace 86a1f07b2c... http://127.0.0.1:8372
-//	http.corpus          1.2ms ▐█────────────────────────────▌ process=coordinator blocks=8 ...
-//	  job.run          410.9ms ▐─█████████████████████████████▌ process=coordinator job_id=...
-//	    http.shard    118.4ms ▐──███████─────────────────────▌ process=http://127.0.0.1:40121 ...
-//
-// A trace is fetched with ?cluster=1 unless -local is set, so a
-// coordinator answers with the federated view: its own spans merged
-// with every pool worker's.
+// Trace mode (-trace): render one distributed trace as a span tree —
+// fetched with ?cluster=1 unless -local is set, so a coordinator answers
+// with its own spans merged with every pool worker's — or, with -trace
+// list, list the traces the server's store still holds.
 
 import (
 	"encoding/json"
@@ -63,14 +52,10 @@ func showTrace(w io.Writer, client *inspect.Client, base, id string, federate, r
 		u += "?cluster=1"
 	}
 	var body struct {
-		TraceID   string `json:"trace_id"`
-		Cluster   bool   `json:"cluster"`
-		Processes []struct {
-			Process string `json:"process"`
-			Spans   int    `json:"spans"`
-			Error   string `json:"error,omitempty"`
-		} `json:"processes"`
-		Spans []obs.SpanRecord `json:"spans"`
+		TraceID   string            `json:"trace_id"`
+		Cluster   bool              `json:"cluster"`
+		Processes []obs.ProcessView `json:"processes"`
+		Spans     []obs.SpanRecord  `json:"spans"`
 	}
 	if err := client.GetJSON(u, &body); err != nil {
 		return err

@@ -15,6 +15,18 @@ import (
 	"time"
 )
 
+// ProcessView is one process's line in a federated (?cluster=1) view:
+// what it contributed — spans of a trace, retained outliers, or its
+// telemetry history — or, when it could not be queried (down worker,
+// timeout), the error that left its contribution out.
+type ProcessView struct {
+	Process  string       `json:"process"`
+	Spans    int          `json:"spans,omitempty"`
+	Outliers int          `json:"outliers,omitempty"`
+	Error    string       `json:"error,omitempty"`
+	History  *HistoryDump `json:"history,omitempty"`
+}
+
 // MergeSpans merges span sets collected from several processes for the
 // same trace: duplicates (by span ID — straggler re-dispatch can record
 // one lease twice) keep the first occurrence, and the result is ordered

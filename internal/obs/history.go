@@ -85,9 +85,6 @@ func NewHistory(size int, interval time.Duration) *History {
 	}
 }
 
-// Interval reports the sampling cadence.
-func (h *History) Interval() time.Duration { return h.interval }
-
 // Gauge registers a series storing read() as-is each tick. Registering a
 // name twice is a no-op (the first registration wins), so dynamic
 // registration hooks can re-offer known series every tick.

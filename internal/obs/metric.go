@@ -47,14 +47,12 @@ type Series struct {
 	Mean bool
 }
 
-// Registry holds a process's instruments.
+// Registry holds a process's instruments; the zero value is empty and
+// ready to use.
 type Registry struct {
 	mu       sync.Mutex
 	families []*family
 }
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
 
 type family struct {
 	Desc
@@ -68,6 +66,7 @@ type family struct {
 }
 
 type child struct {
+	key     string // label values joined by NUL, which sorts them in order
 	values  []string
 	labels  string // rendered label set: route="explain",code="200"
 	m       instrument
@@ -127,7 +126,7 @@ func (v HistogramVec) With(labelValues ...string) *Histogram {
 }
 
 func (f *family) with(values []string) instrument {
-	key := strings.Join(values, "\xff")
+	key := strings.Join(values, "\x00")
 	f.mu.RLock()
 	c := f.children[key]
 	f.mu.RUnlock()
@@ -142,7 +141,7 @@ func (f *family) with(values []string) instrument {
 	if c := f.children[key]; c != nil {
 		return c.m
 	}
-	c = &child{values: append([]string(nil), values...), labels: renderLabels(f.Labels, values)}
+	c = &child{key: key, values: append([]string(nil), values...), labels: renderLabels(f.Labels, values)}
 	if f.typ == "histogram" {
 		c.m = newHistogram(f.bounds)
 	} else {
@@ -171,15 +170,7 @@ func (f *family) sorted() []*child {
 		out = append(out, c)
 	}
 	f.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].values, out[j].values
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
 }
 

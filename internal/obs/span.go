@@ -94,7 +94,9 @@ func (t *Tracer) Start(ctx context.Context, name string, parent SpanContext, for
 		return ctx, nil, trace
 	}
 	buf := spanBufferPool.Get().(*spanBuffer)
-	buf.kept, buf.limit = kept, t.store.size
+	// No fragment may outgrow the outliers' share of the store, so one
+	// huge trace (a long corpus job) never pushes out everything else.
+	buf.kept, buf.limit = kept, t.store.size/outlierShare
 	// A forced trace propagates as sampled so downstream hops record it;
 	// a tail-only one carries the real (unsampled) decision.
 	s := buf.startSpan(trace, parentID, name, kept != 0)
@@ -168,8 +170,8 @@ func (t *Tracer) Commit(root *Span, o Outcome) bool {
 // StartSpan begins a child of the span active in ctx, in the same
 // buffer. When ctx carries no recorded span this is a pointer load and
 // returns (ctx, nil): stage spans in the core engine cost nothing for
-// unrecorded requests. A buffer that already holds as many spans as the
-// store could keep records no more children.
+// unrecorded requests. A root that already holds its share of the store
+// records no more children.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	parent := SpanFromContext(ctx)
 	if parent == nil || parent.expired() {

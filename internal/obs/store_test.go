@@ -146,9 +146,10 @@ func TestSpanBufferRecycleInvalidatesSpans(t *testing.T) {
 }
 
 // TestSpanBufferArenaOverflow: spans past the arena spill to the heap and
-// are still recorded in order; past the store's size they are dropped.
+// are still recorded in order; past half the store's size they are
+// dropped.
 func TestSpanBufferArenaOverflow(t *testing.T) {
-	tr := NewTracer(100, 1)
+	tr := NewTracer(200, 1)
 	ctx, root, trace := tr.Start(context.Background(), "root", SpanContext{}, false, false)
 	n := spanBufferArena + 5
 	for i := 1; i < n; i++ {
@@ -173,7 +174,7 @@ func TestSpanBufferArenaOverflow(t *testing.T) {
 	}
 	tr.Commit(root, Outcome{Trace: trace})
 	if got := len(tr.Store().Trace(trace.String())); got != 100 {
-		t.Fatalf("a root past the store size kept %d spans, want 100", got)
+		t.Fatalf("a root past half the store size kept %d spans, want 100", got)
 	}
 }
 

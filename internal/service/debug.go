@@ -56,21 +56,24 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		s.serveOutliers(w, r, route, minMS, limit)
 		return
 	}
-	all := s.tracer.Store().Traces(0)
-	traces := make([]obs.TraceSummary, 0, len(all))
-	for _, ts := range all {
-		if route != "" && ts.Root != route && ts.Root != "http."+route {
-			continue
-		}
-		if minMS > 0 && ts.DurationUS < int64(minMS)*1000 {
-			continue
-		}
-		traces = append(traces, ts)
-		if limit > 0 && len(traces) == limit {
-			break
+	traces := firstN(s.tracer.Store().Traces(0), limit, func(ts obs.TraceSummary) bool {
+		return (route == "" || ts.Root == route || ts.Root == "http."+route) && ts.DurationUS >= int64(minMS)*1000
+	})
+	writeJSON(w, http.StatusOK, map[string]any{"traces": traces})
+}
+
+// firstN keeps the items match accepts, in order, up to limit (0 = all).
+func firstN[T any](in []T, limit int, match func(T) bool) []T {
+	out := make([]T, 0, len(in))
+	for _, v := range in {
+		if match(v) {
+			out = append(out, v)
+			if len(out) == limit {
+				break
+			}
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"traces": traces})
+	return out
 }
 
 // tracingAvailable answers the requests the trace views cannot serve
@@ -93,19 +96,9 @@ func (s *Server) tracingAvailable(w http.ResponseWriter, r *http.Request) bool {
 // filters) are merged in, each labeled with the process that kept it.
 func (s *Server) serveOutliers(w http.ResponseWriter, r *http.Request, route string, minMS, limit int) {
 	all, written := s.tracer.Store().Outliers()
-	outliers := make([]obs.TraceEntry, 0, len(all))
-	for _, o := range all {
-		if route != "" && o.Route != route {
-			continue
-		}
-		if minMS > 0 && o.DurationUS < int64(minMS)*1000 {
-			continue
-		}
-		outliers = append(outliers, o)
-		if limit > 0 && len(outliers) == limit {
-			break
-		}
-	}
+	outliers := firstN(all, limit, func(o obs.TraceEntry) bool {
+		return (route == "" || o.Route == route) && o.DurationUS >= int64(minMS)*1000
+	})
 	if r.URL.Query().Get("cluster") != "1" || s.coordinator == nil {
 		writeJSON(w, http.StatusOK, map[string]any{"outliers": outliers, "written": written})
 		return
@@ -113,12 +106,13 @@ func (s *Server) serveOutliers(w http.ResponseWriter, r *http.Request, route str
 	for i := range outliers {
 		outliers[i].Process = s.cfg.ProcessLabel
 	}
-	processes := []traceProcess{{Process: s.cfg.ProcessLabel, Outliers: len(outliers)}}
-	peers := federate(s, r.Context(), withoutCluster(r.URL), "outliers",
-		func(o *obs.TraceEntry, process string) { o.Process = process })
-	for _, p := range peers {
-		processes = append(processes, traceProcess{Process: p.process, Outliers: len(p.items), Error: p.err})
-		outliers = append(outliers, p.items...)
+	processes := []obs.ProcessView{{Process: s.cfg.ProcessLabel, Outliers: len(outliers)}}
+	for _, p := range federate[struct{ Outliers []obs.TraceEntry }](r.Context(), s, withoutCluster(r.URL)) {
+		for i := range p.body.Outliers {
+			p.body.Outliers[i].Process = p.worker
+		}
+		processes = append(processes, obs.ProcessView{Process: p.worker, Outliers: len(p.body.Outliers), Error: p.err})
+		outliers = append(outliers, p.body.Outliers...)
 	}
 	sort.SliceStable(outliers, func(i, j int) bool { return outliers[i].Start.After(outliers[j].Start) })
 	if limit > 0 && len(outliers) > limit {
@@ -157,18 +151,19 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	for i := range spans {
 		spans[i].Process = s.cfg.ProcessLabel
 	}
-	processes := []traceProcess{{Process: s.cfg.ProcessLabel, Spans: len(spans)}}
+	processes := []obs.ProcessView{{Process: s.cfg.ProcessLabel, Spans: len(spans)}}
 	groups := [][]obs.SpanRecord{spans}
-	peers := federate(s, r.Context(), withoutCluster(r.URL), "spans",
-		func(sp *obs.SpanRecord, process string) { sp.Process = process })
-	for _, p := range peers {
-		processes = append(processes, traceProcess{Process: p.process, Spans: len(p.items), Error: p.err})
-		groups = append(groups, p.items)
+	for _, p := range federate[struct{ Spans []obs.SpanRecord }](r.Context(), s, withoutCluster(r.URL)) {
+		for i := range p.body.Spans {
+			p.body.Spans[i].Process = p.worker
+		}
+		processes = append(processes, obs.ProcessView{Process: p.worker, Spans: len(p.body.Spans), Error: p.err})
+		groups = append(groups, p.body.Spans)
 	}
 	merged := obs.MergeSpans(groups...)
 	if len(merged) == 0 {
 		writeError(w, http.StatusNotFound,
-			"no spans recorded for trace %q on the coordinator or any of %d workers", id, len(peers))
+			"no spans recorded for trace %q on the coordinator or any of %d workers", id, len(groups)-1)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -177,17 +172,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		"processes": processes,
 		"spans":     merged,
 	})
-}
-
-// traceProcess summarizes one process's contribution to a federated
-// view (spans of one trace, or retained outliers).
-type traceProcess struct {
-	Process  string `json:"process"`
-	Spans    int    `json:"spans,omitempty"`
-	Outliers int    `json:"outliers,omitempty"`
-	// Error is set when the process could not be queried (down worker,
-	// timeout); its contribution is simply missing from the merged view.
-	Error string `json:"error,omitempty"`
 }
 
 // withoutCluster is the request's path and query minus ?cluster=1, so
@@ -201,36 +185,14 @@ func withoutCluster(u *url.URL) string {
 	return u.EscapedPath() + "?" + q.Encode()
 }
 
-// peerItems is one worker's answer in a federated view.
-type peerItems[T any] struct {
-	process string
-	items   []T
-	err     string
-}
-
-// federate queries path on every live worker and decodes the JSON array
-// under field from each answer, labeling every item with its worker.
-// A worker holding nothing (404) contributes no items; one that cannot
-// be queried contributes its error.
-func federate[T any](s *Server, ctx context.Context, path, field string, label func(*T, string)) []peerItems[T] {
-	var out []peerItems[T]
-	for _, pr := range s.fanOutWorkers(ctx, path) {
-		p := peerItems[T]{process: pr.worker}
-		if pr.err == nil && pr.found {
-			var body map[string]json.RawMessage
-			if pr.err = json.Unmarshal(pr.body, &body); pr.err == nil {
-				pr.err = json.Unmarshal(body[field], &p.items)
-			}
-		}
-		if pr.err != nil {
-			p.items, p.err = nil, pr.err.Error()
-		}
-		for i := range p.items {
-			label(&p.items[i], pr.worker)
-		}
-		out = append(out, p)
-	}
-	return out
+// peerAnswer is one live worker's answer in a federated view: its
+// decoded body, or the error that kept it out. A worker holding no data
+// for the query (404) answers with the zero body — an answer, not a
+// failure.
+type peerAnswer[T any] struct {
+	worker string
+	body   T
+	err    string
 }
 
 // peerClient fetches remote debug views during federation; the short
@@ -238,66 +200,52 @@ func federate[T any](s *Server, ctx context.Context, path, field string, label f
 // not a hung request.
 var peerClient = &http.Client{Timeout: 5 * time.Second}
 
-// peerResult is one live worker's raw answer from a federated fan-out.
-type peerResult struct {
-	worker string
-	found  bool   // false when the worker answered 404 (no data — a normal answer)
-	body   []byte // raw JSON body when found
-	err    error  // transport failure or non-200/404 status
-}
-
-// fanOutWorkers queries path on every live pool worker (static pool plus
-// dynamic joins; workers whose heartbeats have expired are skipped)
-// concurrently, each bounded by peerClient's timeout. Federated views
-// never fail on a down worker: its error rides in its peerResult.
-func (s *Server) fanOutWorkers(ctx context.Context, path string) []peerResult {
-	workers := s.coordinator.Pool().Snapshot()
-	out := make([]peerResult, 0, len(workers))
-	for _, worker := range workers {
-		if worker.State == "expired" {
-			continue
+// federate queries path (never with ?cluster=1, so federation does not
+// recurse) on every live pool worker — static pool plus dynamic joins;
+// workers whose heartbeats have expired are skipped — concurrently, and
+// decodes each answer into T. Federated views never fail on a down
+// worker: its error rides in its answer.
+func federate[T any](ctx context.Context, s *Server, path string) []peerAnswer[T] {
+	var out []peerAnswer[T]
+	for _, worker := range s.coordinator.Pool().Snapshot() {
+		if worker.State != "expired" {
+			out = append(out, peerAnswer[T]{worker: worker.ID})
 		}
-		out = append(out, peerResult{worker: worker.ID})
 	}
 	var wg sync.WaitGroup
 	for i := range out {
 		wg.Add(1)
-		go func(p *peerResult) {
+		go func(p *peerAnswer[T]) {
 			defer wg.Done()
-			p.body, p.found, p.err = fetchPeerJSON(ctx, p.worker, path)
+			if err := fetchPeerJSON(ctx, strings.TrimSuffix(p.worker, "/")+path, &p.body); err != nil {
+				var zero T
+				p.body, p.err = zero, err.Error()
+			}
 		}(&out[i])
 	}
 	wg.Wait()
 	return out
 }
 
-// fetchPeerJSON performs one federation GET. A 404 reports (nil, false,
-// nil): the worker holds no data for the query, which is an answer, not
-// a failure.
-func fetchPeerJSON(ctx context.Context, baseURL, path string) ([]byte, bool, error) {
-	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimSuffix(baseURL, "/")+path, nil)
+// fetchPeerJSON performs one federation GET, decoding a 200 answer into
+// v and leaving v untouched on a 404.
+func fetchPeerJSON(ctx context.Context, url string, v any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return nil, false, err
+		return err
 	}
 	resp, err := peerClient.Do(req)
 	if err != nil {
-		return nil, false, err
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, false, nil
+	switch resp.StatusCode {
+	case http.StatusOK:
+		return json.NewDecoder(io.LimitReader(resp.Body, 32<<20)).Decode(v)
+	case http.StatusNotFound:
+		return nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
-	if err != nil {
-		return nil, false, err
-	}
-	return body, true, nil
+	return fmt.Errorf("status %d", resp.StatusCode)
 }
 
 // handleFlight serves GET /debug/flight: the flight recorder's current

@@ -25,7 +25,6 @@ package service
 // independent of request volume.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -42,7 +41,7 @@ import (
 func (s *Server) registerHistory() {
 	h := s.history
 	h.BeforeSample = func() { s.metrics.reg.Offer(h) }
-	for _, rs := range s.metrics.routeList() {
+	for _, rs := range s.metrics.routes {
 		for _, class := range []int{2, 4, 5} {
 			rs, lo := rs, class*100
 			h.Rate(fmt.Sprintf("route.%s.rps_%dxx", rs.name, class),
@@ -103,35 +102,17 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.history.Dump(s.cfg.ProcessLabel))
 }
 
-// historyProcess is one process's entry in a federated history view.
-type historyProcess struct {
-	Process string `json:"process"`
-	// Error is set when the process could not be queried (down worker,
-	// timeout); History is then absent.
-	Error   string           `json:"error,omitempty"`
-	History *obs.HistoryDump `json:"history,omitempty"`
-}
-
 // serveFederatedHistory answers GET /debug/history?cluster=1 on a
 // coordinator: the local dump plus a concurrent fan-out to every live
 // worker (queried without ?cluster=1, so federation never recurses).
 func (s *Server) serveFederatedHistory(w http.ResponseWriter, r *http.Request) {
 	local := s.history.Dump(s.cfg.ProcessLabel)
-	processes := []historyProcess{{Process: s.cfg.ProcessLabel, History: &local}}
-	for _, pr := range s.fanOutWorkers(r.Context(), "/debug/history") {
-		p := historyProcess{Process: pr.worker}
-		if pr.err != nil {
-			p.Error = pr.err.Error()
-		} else if pr.found {
-			var dump obs.HistoryDump
-			if err := json.Unmarshal(pr.body, &dump); err != nil {
-				p.Error = err.Error()
-			} else {
-				dump.Process = pr.worker
-				p.History = &dump
-			}
+	processes := []obs.ProcessView{{Process: s.cfg.ProcessLabel, History: &local}}
+	for _, p := range federate[*obs.HistoryDump](r.Context(), s, "/debug/history") {
+		if p.body != nil {
+			p.body.Process = p.worker
 		}
-		processes = append(processes, p)
+		processes = append(processes, obs.ProcessView{Process: p.worker, Error: p.err, History: p.body})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"cluster":   true,

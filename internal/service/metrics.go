@@ -3,7 +3,6 @@ package service
 import (
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"github.com/comet-explain/comet/internal/obs"
@@ -21,10 +20,8 @@ import (
 // slot is resolved once at mux wiring time and caches its per-status
 // counters, so observe is two atomic adds and a bucket search.
 type metrics struct {
-	reg *obs.Registry
-
-	mu     sync.Mutex
-	routes []*routeStats // registration order
+	reg    *obs.Registry
+	routes []*routeStats // registration order, all wired in New
 
 	requests obs.CounterVec   // route, code
 	slow     obs.CounterVec   // route
@@ -78,7 +75,7 @@ var fractionBounds = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95
 var queryBounds = []float64{10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000}
 
 func newMetrics() *metrics {
-	reg := obs.NewRegistry()
+	reg := &obs.Registry{}
 	m := &metrics{reg: reg}
 	route, spec := []string{"route"}, []string{"spec"}
 	m.requests = reg.Counter(obs.Desc{Name: "comet_requests_total",
@@ -177,10 +174,8 @@ type routeStats struct {
 }
 
 // route registers (or returns) the stats slot for a route name. Called
-// once per route when the mux is wired, never on the request path.
+// only while New wires the mux, never on the request path.
 func (m *metrics) route(name string) *routeStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, rs := range m.routes {
 		if rs.name == name {
 			return rs
@@ -189,13 +184,6 @@ func (m *metrics) route(name string) *routeStats {
 	rs := &routeStats{name: name, requests: m.requests, latency: m.latency.With(name)}
 	m.routes = append(m.routes, rs)
 	return rs
-}
-
-// routeList snapshots the registered routes, registration order.
-func (m *metrics) routeList() []*routeStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]*routeStats(nil), m.routes...)
 }
 
 // observe records one finished request.
