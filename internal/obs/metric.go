@@ -10,8 +10,8 @@ package obs
 //
 // Recording is lock-free and allocation-free: counters are one atomic
 // add, histograms a bucket search plus atomic adds. Resolving a labeled
-// child (With) takes a read lock and a map lookup, so hot paths resolve
-// their children once and keep the pointer.
+// child (With) takes the family's lock and a map lookup, so hot paths
+// resolve their children once and keep the pointer.
 
 import (
 	"fmt"
@@ -60,7 +60,7 @@ type family struct {
 	bounds  []float64 // histograms
 	collect func(emit func(v float64, labelValues ...string))
 
-	mu       sync.RWMutex
+	mu       sync.Mutex
 	children map[string]*child
 	offered  bool // family-wide series registered with the history
 }
@@ -127,21 +127,15 @@ func (v HistogramVec) With(labelValues ...string) *Histogram {
 
 func (f *family) with(values []string) instrument {
 	key := strings.Join(values, "\x00")
-	f.mu.RLock()
-	c := f.children[key]
-	f.mu.RUnlock()
-	if c != nil {
-		return c.m
-	}
-	if len(values) != len(f.Labels) {
-		panic(fmt.Sprintf("obs: %s takes %d label values, got %d", f.Name, len(f.Labels), len(values)))
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if c := f.children[key]; c != nil {
 		return c.m
 	}
-	c = &child{key: key, values: append([]string(nil), values...), labels: renderLabels(f.Labels, values)}
+	if len(values) != len(f.Labels) {
+		panic(fmt.Sprintf("obs: %s takes %d label values, got %d", f.Name, len(f.Labels), len(values)))
+	}
+	c := &child{key: key, values: append([]string(nil), values...), labels: renderLabels(f.Labels, values)}
 	if f.typ == "histogram" {
 		c.m = newHistogram(f.bounds)
 	} else {
@@ -164,12 +158,12 @@ func renderLabels(keys, values []string) string {
 
 // sorted snapshots the children ordered by label values.
 func (f *family) sorted() []*child {
-	f.mu.RLock()
+	f.mu.Lock()
 	out := make([]*child, 0, len(f.children))
 	for _, c := range f.children {
 		out = append(out, c)
 	}
-	f.mu.RUnlock()
+	f.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
 }
@@ -182,8 +176,8 @@ func (f *family) sum() float64 {
 		f.collect(func(v float64, _ ...string) { total += v })
 		return total
 	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	for _, c := range f.children {
 		total += c.m.value()
 	}

@@ -132,10 +132,10 @@ type Outcome struct {
 // reason. A kept fragment enters the store as one entry with its full
 // span tree; anything else recycles its buffer untouched. root may be
 // nil — an unrecorded request that still turned out to be an outlier is
-// kept as an entry without spans. It reports whether anything was kept.
-func (t *Tracer) Commit(root *Span, o Outcome) bool {
+// kept as an entry without spans.
+func (t *Tracer) Commit(root *Span, o Outcome) {
 	if !t.Enabled() {
-		return false
+		return
 	}
 	var buf *spanBuffer
 	if root != nil && !root.expired() {
@@ -164,7 +164,6 @@ func (t *Tracer) Commit(root *Span, o Outcome) bool {
 	if buf != nil {
 		buf.release()
 	}
-	return kept != 0
 }
 
 // StartSpan begins a child of the span active in ctx, in the same

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 )
@@ -10,10 +11,11 @@ import (
 // outlier entry.
 func commitOutlier(t *testing.T, tr *Tracer, root *Span) TraceEntry {
 	t.Helper()
-	if !tr.Commit(root, Outcome{Trace: root.TraceID(), Route: "explain", Status: 200, Start: time.Now(), Kept: KeptSlow}) {
+	tr.Commit(root, Outcome{Trace: root.TraceID(), Route: "explain", Status: 200, Start: time.Now(), Kept: KeptSlow})
+	outliers, _ := tr.Store().Outliers()
+	if len(outliers) == 0 {
 		t.Fatal("an outlier commit kept nothing")
 	}
-	outliers, _ := tr.Store().Outliers()
 	return outliers[0]
 }
 
@@ -94,7 +96,8 @@ func TestSpanBufferSampledFlush(t *testing.T) {
 
 	quiet := NewTracer(64, 1<<30)
 	_, root, trace = quiet.Start(context.Background(), "root", SpanContext{}, false, true)
-	if quiet.Commit(root, Outcome{Trace: trace}) || len(quiet.Store().Traces(0)) != 0 {
+	quiet.Commit(root, Outcome{Trace: trace})
+	if outliers, _ := quiet.Store().Outliers(); len(outliers) != 0 || len(quiet.Store().Traces(0)) != 0 {
 		t.Fatal("an unsampled healthy trace was kept")
 	}
 }
@@ -255,7 +258,49 @@ func TestStartRootBufferedDisabledTracer(t *testing.T) {
 	if got != ctx || s != nil || !trace.IsZero() {
 		t.Fatalf("nil tracer: span=%v trace=%s", s, trace)
 	}
-	if tr.Commit(nil, Outcome{Kept: KeptError}) {
+	tr.Commit(nil, Outcome{Kept: KeptError}) // must not panic
+	if outliers, _ := tr.Store().Outliers(); outliers != nil {
 		t.Fatal("disabled tracer kept an outlier")
+	}
+}
+
+// TestTracerConcurrentCommits: roots started, extended and committed
+// from many goroutines while the store is read keep the store within its
+// size and every kept trace whole.
+func TestTracerConcurrentCommits(t *testing.T) {
+	tr := NewTracer(64, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				ctx, root, trace := tr.Start(context.Background(), "root", SpanContext{}, false, true)
+				_, child := StartSpan(ctx, "child")
+				child.SetInt("i", int64(i))
+				child.End()
+				var kept Kept
+				if i%10 == g {
+					kept = KeptSlow
+				}
+				tr.Commit(root, Outcome{Trace: trace, Kept: kept})
+				if i%25 == 0 {
+					tr.Store().Traces(0)
+					tr.Store().Outliers()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	outliers, written := tr.Store().Outliers()
+	spans := 0
+	for _, o := range outliers {
+		if len(o.Spans) != 2 {
+			t.Fatalf("outlier %s kept %d spans, want 2", o.TraceID, len(o.Spans))
+		}
+		spans += len(o.Spans)
+	}
+	if written != 8*20 || spans > 64 {
+		t.Fatalf("written %d outliers (want %d), holding %d spans in a 64-span store", written, 8*20, spans)
 	}
 }

@@ -43,7 +43,7 @@ func (s *Server) registerHistory() {
 	h.BeforeSample = func() { s.metrics.reg.Offer(h) }
 	for _, rs := range s.metrics.routes {
 		for _, class := range []int{2, 4, 5} {
-			rs, lo := rs, class*100
+			lo := class * 100
 			h.Rate(fmt.Sprintf("route.%s.rps_%dxx", rs.name, class),
 				func() float64 { return float64(rs.codeCount(lo, lo+100)) })
 		}
