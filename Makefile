@@ -100,15 +100,18 @@ bench-check:
 bench-baseline:
 	$(GO) run ./cmd/comet-bench -wire -json-out BENCH_baseline.json
 
-# Brief native fuzzing of the frame scanner, the binary decoder, and the
-# JSON wire types, starting from the committed corpus in
-# internal/wire/testdata/fuzz. One -fuzz pattern per invocation: go test
-# rejects multiple fuzz targets in a single fuzzing run.
+# Brief native fuzzing of the frame scanner, the binary decoder, the
+# JSON wire types (starting from the committed corpus in
+# internal/wire/testdata/fuzz), the x86 decoder, and the dependency
+# builder against its brute-force oracle (seeded from generated blocks).
+# One -fuzz pattern per invocation: go test rejects multiple fuzz targets
+# in a single fuzzing run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBinary$$' -fuzztime=30s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzScanFrames$$' -fuzztime=30s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzWireJSON$$' -fuzztime=30s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeX86$$' -fuzztime=30s ./internal/x86/decode
+	$(GO) test -run='^$$' -fuzz='^FuzzDepsBuild$$' -fuzztime=30s ./internal/deps
 
 lint: fmt-check vet staticcheck
 

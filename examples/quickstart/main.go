@@ -51,6 +51,6 @@ func main() {
 	}
 	fmt.Println("\ndependency edges:")
 	for _, e := range g.Edges {
-		fmt.Println(" ", e)
+		fmt.Println(" ", g.EdgeString(e))
 	}
 }

@@ -67,13 +67,33 @@ func (m *Model) CostDep(h deps.Hazard, src, dst x86.Instruction) float64 {
 // CostEta returns cost_η(n) = n/4.
 func (m *Model) CostEta(n int) float64 { return float64(n) / 4 }
 
-// Predict implements costmodel.Model: C(β) per eq. 8. Invalid blocks cost 0.
+// Predict implements costmodel.Model: C(β) per eq. 8, straight from the
+// dependency graph's RAW edges and per-instruction costs (WAR and WAW
+// edges cost 0). Invalid blocks cost 0.
 func (m *Model) Predict(b *x86.BasicBlock) float64 {
-	cost, _, err := m.evaluate(b)
+	g, err := deps.Build(b, m.depOpts)
 	if err != nil {
 		return 0
 	}
-	return cost
+	var costBuf [16]float64
+	costs := costBuf[:0]
+	max := m.CostEta(b.Len())
+	for _, inst := range b.Instructions {
+		c := m.CostInst(inst)
+		costs = append(costs, c)
+		if c > max {
+			max = c
+		}
+	}
+	for _, e := range g.Edges {
+		if e.Hazard != deps.RAW {
+			continue
+		}
+		if c := costs[e.Src] + costs[e.Dst]; c > max {
+			max = c
+		}
+	}
+	return max
 }
 
 // PredictBatch implements costmodel.BatchModel by parallel fan-out; the

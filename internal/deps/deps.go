@@ -13,8 +13,10 @@
 package deps
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"github.com/comet-explain/comet/internal/x86"
 )
@@ -31,15 +33,10 @@ const (
 
 // String returns the conventional hazard name.
 func (h Hazard) String() string {
-	switch h {
-	case RAW:
-		return "RAW"
-	case WAR:
-		return "WAR"
-	case WAW:
-		return "WAW"
+	if h < RAW || h > WAW {
+		return "hazard(?)"
 	}
-	return "hazard(?)"
+	return [...]string{"RAW", "WAR", "WAW"}[h]
 }
 
 // LocKind classifies a dependency-carrying location.
@@ -53,32 +50,15 @@ const (
 	LocFlags
 )
 
-// Loc identifies an architectural location at the granularity dependencies
-// are tracked: register family, canonical memory expression, the stack slot
-// touched by push/pop, or the flags register.
-type Loc struct {
-	Kind LocKind
-	Fam  x86.RegFamily // for LocReg
-	Mem  string        // canonical MemRef.LocKey for LocMem
-}
+// Loc is a location in its block's dense namespace: register families
+// keep their x86.RegFamily index, each distinct memory expression gets a
+// slot from MemBase up in MemRef.LocKey text order, and the push/pop
+// stack slot and the flags take the two IDs after. Integer order is thus
+// location order; names exist only at the edges (Table.LocName).
+type Loc int32
 
-// String returns a short printable location name.
-func (l Loc) String() string {
-	switch l.Kind {
-	case LocReg:
-		return x86.FamilyName(l.Fam)
-	case LocMem:
-		return l.Mem
-	case LocStack:
-		return "stack"
-	case LocFlags:
-		return "flags"
-	}
-	return "loc(?)"
-}
-
-func regLoc(f x86.RegFamily) Loc { return Loc{Kind: LocReg, Fam: f} }
-func memLoc(m x86.MemRef) Loc    { return Loc{Kind: LocMem, Mem: m.LocKey()} }
+// MemBase is the ID of a block's first memory slot.
+const MemBase = Loc(x86.NumFamilies)
 
 // Edge is one dependency edge of the multigraph.
 type Edge struct {
@@ -87,16 +67,18 @@ type Edge struct {
 	Loc      Loc
 }
 
-// String renders the edge like "δRAW(1→3) via rax" with 1-based indices to
-// match the paper's listings.
-func (e Edge) String() string {
-	return fmt.Sprintf("δ%s(%d→%d) via %s", e.Hazard, e.Src+1, e.Dst+1, e.Loc)
-}
-
-// Graph is the dependency multigraph of a basic block.
+// Graph is the dependency multigraph of a basic block, together with the
+// block's access table, which names the edges' locations.
 type Graph struct {
 	Block *x86.BasicBlock
 	Edges []Edge
+	Table
+}
+
+// EdgeString renders an edge like "δRAW(1→3) via rax" with 1-based
+// indices to match the paper's listings.
+func (g *Graph) EdgeString(e Edge) string {
+	return fmt.Sprintf("δ%s(%d→%d) via %s", e.Hazard, e.Src+1, e.Dst+1, g.LocName(e.Loc))
 }
 
 // Options controls graph construction.
@@ -111,218 +93,246 @@ type Options struct {
 	LastWriterOnly bool
 }
 
-// Access is the set of locations one instruction reads and writes.
+// Access bits: bit f < MemBase is register family f; the three top bits
+// are the instruction's memory operand (x86 has at most one), the stack
+// slot and the flags. Ascending bit order is location order.
+const (
+	memBit   = 61
+	stackBit = 62
+	flagsBit = 63
+)
+
+// Access is one instruction's reads and writes.
 type Access struct {
-	Reads  []Loc
-	Writes []Loc
+	reads, writes uint64 // access bits
+	mem           Loc    // slot of the memory operand, when memBit is set
 }
 
-// AccessOf computes the read and write location sets of an instruction,
-// combining explicit operands (with per-form access), address-component
-// register reads, implicit register accesses, stack effects, and flags.
-func AccessOf(inst x86.Instruction, opts Options) (Access, error) {
+// Table is a block's access table: every instruction's reads and writes
+// in the block's location namespace.
+type Table struct {
+	Access []Access
+	mems   []x86.MemRef // canonical expression of each memory slot, in slot order
+}
+
+// canonical keeps what LocKey renders of a memory expression, so equal
+// canonical forms are exactly equal LocKey texts.
+func canonical(m x86.MemRef) x86.MemRef {
+	c := x86.MemRef{Base: x86.Reg{Family: m.Base.Family}, Index: x86.Reg{Family: m.Index.Family}, Disp: m.Disp}
+	if !m.Index.IsZero() {
+		c.Scale = m.Scale
+	}
+	return c
+}
+
+// NumLocs returns the size of the block's location namespace.
+func (t *Table) NumLocs() int { return int(t.stack()) + 2 }
+
+func (t *Table) stack() Loc { return MemBase + Loc(len(t.mems)) }
+
+// LocKind classifies a location of the block.
+func (t *Table) LocKind(l Loc) LocKind {
+	switch s := t.stack(); {
+	case l < MemBase:
+		return LocReg
+	case l < s:
+		return LocMem
+	case l == s:
+		return LocStack
+	}
+	return LocFlags
+}
+
+// LocName returns a location's printable name: the register family's
+// 64-bit name, the canonical memory expression, "stack" or "flags".
+func (t *Table) LocName(l Loc) string {
+	switch t.LocKind(l) {
+	case LocReg:
+		return x86.FamilyName(x86.RegFamily(l))
+	case LocMem:
+		return t.mems[l-MemBase].LocKey()
+	case LocStack:
+		return "stack"
+	}
+	return "flags"
+}
+
+// AppendReads appends instruction i's read locations, in order, to dst.
+func (t *Table) AppendReads(dst []Loc, i int) []Loc {
+	return t.appendLocs(dst, t.Access[i].reads, t.Access[i].mem)
+}
+
+// AppendWrites appends instruction i's written locations to dst.
+func (t *Table) AppendWrites(dst []Loc, i int) []Loc {
+	return t.appendLocs(dst, t.Access[i].writes, t.Access[i].mem)
+}
+
+func (t *Table) appendLocs(dst []Loc, set uint64, mem Loc) []Loc {
+	for ; set != 0; set &= set - 1 {
+		dst = append(dst, t.loc(bits.TrailingZeros64(set), mem))
+	}
+	return dst
+}
+
+// loc maps an access bit of an instruction whose memory slot is mem to
+// its location.
+func (t *Table) loc(bit int, mem Loc) Loc {
+	switch bit {
+	case memBit:
+		return mem
+	case stackBit, flagsBit:
+		return t.stack() + Loc(bit-stackBit)
+	}
+	return Loc(bit)
+}
+
+// NewTable computes the access table of a block: per instruction, the
+// explicit operands (with per-form access), address-component register
+// reads, implicit register accesses, stack effects and flags.
+func NewTable(b *x86.BasicBlock, opts Options) (Table, error) {
+	t := Table{Access: make([]Access, b.Len())}
+	for i, inst := range b.Instructions {
+		if err := t.fillInst(&t.Access[i], inst, opts); err != nil {
+			return Table{}, fmt.Errorf("instruction %d: %w", i+1, err)
+		}
+	}
+	t.sortMems()
+	return t, nil
+}
+
+func (t *Table) fillInst(a *Access, inst x86.Instruction, opts Options) error {
 	spec, ok := inst.Spec()
 	if !ok {
-		return Access{}, fmt.Errorf("deps: unknown opcode %q", inst.Opcode)
+		return fmt.Errorf("deps: unknown opcode %q", inst.Opcode)
 	}
 	form := spec.MatchForm(inst.Operands)
 	if form == nil {
-		return Access{}, fmt.Errorf("deps: %s does not match any form", inst)
+		return fmt.Errorf("deps: %s does not match any form", inst)
 	}
-
-	var acc Access
-	read := func(l Loc) { acc.Reads = append(acc.Reads, l) }
-	write := func(l Loc) { acc.Writes = append(acc.Writes, l) }
-
 	for i, op := range inst.Operands {
-		t := form.Ops[i]
+		acc := form.Ops[i].Access
+		var set uint64
 		switch op.Kind {
 		case x86.KindReg:
-			if t.Access&x86.AccR != 0 {
-				read(regLoc(op.Reg.Family))
+			set = famBit(op.Reg.Family)
+		case x86.KindMem, x86.KindAddr:
+			if !op.Mem.Base.IsZero() {
+				a.reads |= famBit(op.Mem.Base.Family)
 			}
-			if t.Access&x86.AccW != 0 {
-				write(regLoc(op.Reg.Family))
+			if !op.Mem.Index.IsZero() {
+				a.reads |= famBit(op.Mem.Index.Family)
 			}
-		case x86.KindMem:
-			for _, fam := range op.Mem.Regs() {
-				read(regLoc(fam))
+			if op.Kind == x86.KindMem {
+				a.mem = t.slot(op.Mem)
+				set = 1 << memBit
 			}
-			if t.Access&x86.AccR != 0 {
-				read(memLoc(op.Mem))
-			}
-			if t.Access&x86.AccW != 0 {
-				write(memLoc(op.Mem))
-			}
-		case x86.KindAddr:
-			for _, fam := range op.Mem.Regs() {
-				read(regLoc(fam))
-			}
-		case x86.KindImm:
-			// no locations
+		}
+		if acc&x86.AccR != 0 {
+			a.reads |= set
+		}
+		if acc&x86.AccW != 0 {
+			a.writes |= set
 		}
 	}
-	for _, fam := range spec.ImplicitReads {
-		read(regLoc(fam))
+	for _, f := range spec.ImplicitReads {
+		a.reads |= famBit(f)
 	}
-	for _, fam := range spec.ImplicitWrites {
-		write(regLoc(fam))
+	for _, f := range spec.ImplicitWrites {
+		a.writes |= famBit(f)
 	}
 	if spec.StackRead {
-		read(Loc{Kind: LocStack})
+		a.reads |= 1 << stackBit
 	}
 	if spec.StackWrite {
-		write(Loc{Kind: LocStack})
+		a.writes |= 1 << stackBit
 	}
-	if opts.TrackFlags {
-		if spec.ReadsFlags {
-			read(Loc{Kind: LocFlags})
-		}
-		if spec.WritesFlags {
-			write(Loc{Kind: LocFlags})
-		}
+	if opts.TrackFlags && spec.ReadsFlags {
+		a.reads |= 1 << flagsBit
 	}
-	acc.Reads = dedupeLocs(acc.Reads)
-	acc.Writes = dedupeLocs(acc.Writes)
-	return acc, nil
+	if opts.TrackFlags && spec.WritesFlags {
+		a.writes |= 1 << flagsBit
+	}
+	return nil
 }
 
-func dedupeLocs(ls []Loc) []Loc {
-	seen := make(map[Loc]bool, len(ls))
-	out := ls[:0]
-	for _, l := range ls {
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
+// famBit returns a register family's access bit; families outside the
+// namespace (never parsed or decoded) carry no dependencies.
+func famBit(f x86.RegFamily) uint64 { return 1 << uint(f) & (1<<x86.NumFamilies - 1) }
+
+// slot returns the provisional (first-appearance) slot of a memory
+// expression; sortMems renumbers slots into canonical order.
+func (t *Table) slot(m x86.MemRef) Loc {
+	k := canonical(m)
+	for i, have := range t.mems {
+		if have == k {
+			return MemBase + Loc(i)
 		}
 	}
-	return out
+	if t.mems == nil {
+		t.mems = make([]x86.MemRef, 0, len(t.Access)) // one operand per instruction at most
+	}
+	t.mems = append(t.mems, k)
+	return MemBase + Loc(len(t.mems)-1)
 }
 
-// Build constructs the dependency multigraph of a block.
+// sortMems renumbers the memory slots in LocKey text order.
+func (t *Table) sortMems() {
+	if len(t.mems) < 2 {
+		return
+	}
+	prev := append(make([]x86.MemRef, 0, 8), t.mems...)
+	slices.SortFunc(t.mems, func(x, y x86.MemRef) int {
+		var xb, yb [64]byte
+		return bytes.Compare(x.AppendLocKey(xb[:0]), y.AppendLocKey(yb[:0]))
+	})
+	for i := range t.Access {
+		if a := &t.Access[i]; (a.reads|a.writes)&(1<<memBit) != 0 {
+			a.mem = MemBase + Loc(slices.Index(t.mems, prev[a.mem-MemBase]))
+		}
+	}
+}
+
+// Build constructs the dependency multigraph of a block, its edges
+// ordered by (Src, Dst, Hazard, Loc).
 func Build(b *x86.BasicBlock, opts Options) (*Graph, error) {
-	accs := make([]Access, b.Len())
-	for i, inst := range b.Instructions {
-		a, err := AccessOf(inst, opts)
-		if err != nil {
-			return nil, fmt.Errorf("instruction %d: %w", i+1, err)
-		}
-		accs[i] = a
+	t, err := NewTable(b, opts)
+	if err != nil {
+		return nil, err
 	}
-
-	// Group accesses by location.
-	byLoc := make(map[Loc][]locEvent)
-	order := make([]Loc, 0)
-	touch := func(l Loc, idx int, isWrite bool) {
-		evs := byLoc[l]
-		if len(evs) == 0 || evs[len(evs)-1].idx != idx {
-			if len(evs) == 0 {
-				order = append(order, l)
-			}
-			evs = append(evs, locEvent{idx: idx})
-		}
-		if isWrite {
-			evs[len(evs)-1].wrts = true
-		} else {
-			evs[len(evs)-1].reads = true
-		}
-		byLoc[l] = evs
-	}
-	for i, a := range accs {
-		for _, l := range a.Reads {
-			touch(l, i, false)
-		}
-		for _, l := range a.Writes {
-			touch(l, i, true)
-		}
-	}
-	// Deterministic location order for reproducible edge lists.
-	sort.Slice(order, func(i, j int) bool { return locLess(order[i], order[j]) })
-
-	g := &Graph{Block: b}
-	for _, loc := range order {
-		evs := byLoc[loc]
-		if opts.LastWriterOnly {
-			g.buildKillBased(loc, evs)
-		} else {
-			g.buildAllPairs(loc, evs)
-		}
-	}
-	sort.Slice(g.Edges, func(i, j int) bool { return edgeLess(g.Edges[i], g.Edges[j]) })
+	g := &Graph{Block: b, Table: t}
+	g.Edges = make([]Edge, 0, g.link(opts.LastWriterOnly, false))
+	g.link(opts.LastWriterOnly, true)
 	return g, nil
 }
 
-// locEvent records that one instruction reads and/or writes a location.
-type locEvent struct {
-	idx         int
-	reads, wrts bool
-}
-
-func (g *Graph) buildAllPairs(loc Loc, evs []locEvent) {
-	for i := 0; i < len(evs); i++ {
-		for j := i + 1; j < len(evs); j++ {
-			a, b := evs[i], evs[j]
-			if a.wrts && b.reads {
-				g.Edges = append(g.Edges, Edge{Src: a.idx, Dst: b.idx, Hazard: RAW, Loc: loc})
+// link counts (and with emit appends) the edges of every pair i < j, in
+// edge order. Under kill-based analysis a location written strictly
+// between i and j carries no edge from i to j.
+func (g *Graph) link(lastWriterOnly, emit bool) int {
+	acc := g.Access
+	count := 0
+	for i, a := range acc {
+		var killed uint64 // locations of a written since a
+		for j := i + 1; j < len(acc); j++ {
+			b := acc[j]
+			live := ^killed // the memory bits only meet on the same slot
+			if a.mem != b.mem {
+				live &^= 1 << memBit
 			}
-			if a.reads && b.wrts {
-				g.Edges = append(g.Edges, Edge{Src: a.idx, Dst: b.idx, Hazard: WAR, Loc: loc})
-			}
-			if a.wrts && b.wrts {
-				g.Edges = append(g.Edges, Edge{Src: a.idx, Dst: b.idx, Hazard: WAW, Loc: loc})
-			}
-		}
-	}
-}
-
-func (g *Graph) buildKillBased(loc Loc, evs []locEvent) {
-	lastWriter := -1
-	var readersSinceWrite []int
-	for _, ev := range evs {
-		if ev.reads {
-			if lastWriter >= 0 {
-				g.Edges = append(g.Edges, Edge{Src: lastWriter, Dst: ev.idx, Hazard: RAW, Loc: loc})
-			}
-		}
-		if ev.wrts {
-			for _, r := range readersSinceWrite {
-				if r != ev.idx {
-					g.Edges = append(g.Edges, Edge{Src: r, Dst: ev.idx, Hazard: WAR, Loc: loc})
+			hazards := [3]uint64{RAW: a.writes & b.reads & live, WAR: a.reads & b.writes & live, WAW: a.writes & b.writes & live}
+			for h, set := range hazards {
+				count += bits.OnesCount64(set)
+				for ; emit && set != 0; set &= set - 1 {
+					loc := g.loc(bits.TrailingZeros64(set), a.mem)
+					g.Edges = append(g.Edges, Edge{Src: i, Dst: j, Hazard: Hazard(h), Loc: loc})
 				}
 			}
-			if lastWriter >= 0 {
-				g.Edges = append(g.Edges, Edge{Src: lastWriter, Dst: ev.idx, Hazard: WAW, Loc: loc})
+			if lastWriterOnly {
+				killed |= (a.reads | a.writes) & b.writes & live
 			}
-			lastWriter = ev.idx
-			readersSinceWrite = readersSinceWrite[:0]
-		}
-		if ev.reads {
-			readersSinceWrite = append(readersSinceWrite, ev.idx)
 		}
 	}
-}
-
-func locLess(a, b Loc) bool {
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	if a.Fam != b.Fam {
-		return a.Fam < b.Fam
-	}
-	return a.Mem < b.Mem
-}
-
-func edgeLess(a, b Edge) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	if a.Hazard != b.Hazard {
-		return a.Hazard < b.Hazard
-	}
-	return locLess(a.Loc, b.Loc)
+	return count
 }
 
 // HasEdge reports whether the graph contains an edge with the given
@@ -334,15 +344,4 @@ func (g *Graph) HasEdge(src, dst int, h Hazard) bool {
 		}
 	}
 	return false
-}
-
-// EdgesBetween returns all edges from src to dst.
-func (g *Graph) EdgesBetween(src, dst int) []Edge {
-	var out []Edge
-	for _, e := range g.Edges {
-		if e.Src == src && e.Dst == dst {
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -29,7 +29,7 @@ func TestMotivatingExampleRAW(t *testing.T) {
 		t.Fatalf("expected RAW 1→2; edges: %v", g.Edges)
 	}
 	for _, e := range g.Edges {
-		if e.Loc.Kind == LocReg && !(e.Src == 0 && e.Dst == 1 && e.Hazard == RAW) {
+		if g.LocKind(e.Loc) == LocReg && !(e.Src == 0 && e.Dst == 1 && e.Hazard == RAW) {
 			t.Errorf("unexpected register edge %v", e)
 		}
 	}
@@ -89,7 +89,7 @@ func TestMemoryAliasing(t *testing.T) {
 	g := build(t, "mov qword ptr [rdi + 8], rax\nmov rbx, qword ptr [rdi + 8]", Options{})
 	found := false
 	for _, e := range g.Edges {
-		if e.Hazard == RAW && e.Loc.Kind == LocMem {
+		if e.Hazard == RAW && g.LocKind(e.Loc) == LocMem {
 			found = true
 		}
 	}
@@ -100,7 +100,7 @@ func TestMemoryAliasing(t *testing.T) {
 	// Different displacements must not alias.
 	g = build(t, "mov qword ptr [rdi + 8], rax\nmov rbx, qword ptr [rdi + 16]", Options{})
 	for _, e := range g.Edges {
-		if e.Loc.Kind == LocMem {
+		if g.LocKind(e.Loc) == LocMem {
 			t.Errorf("unexpected memory edge %v", e)
 		}
 	}
@@ -117,7 +117,7 @@ func TestAddressRegistersAreReads(t *testing.T) {
 func TestLeaReadsAddressNotMemory(t *testing.T) {
 	g := build(t, "mov qword ptr [rax + 8], rbx\nlea rcx, [rax + 8]", Options{})
 	for _, e := range g.Edges {
-		if e.Loc.Kind == LocMem {
+		if g.LocKind(e.Loc) == LocMem {
 			t.Errorf("lea must not touch memory; edge %v", e)
 		}
 	}
@@ -140,7 +140,7 @@ func TestPushPopStackDependency(t *testing.T) {
 	g := build(t, "push rax\npop rbx", Options{})
 	foundStack := false
 	for _, e := range g.Edges {
-		if e.Loc.Kind == LocStack && e.Hazard == RAW {
+		if g.LocKind(e.Loc) == LocStack && e.Hazard == RAW {
 			foundStack = true
 		}
 	}
@@ -150,7 +150,7 @@ func TestPushPopStackDependency(t *testing.T) {
 	// Both also touch rsp (implicit RW): expect edges via rsp too.
 	foundRSP := false
 	for _, e := range g.Edges {
-		if e.Loc.Kind == LocReg && e.Loc.Fam == x86.FamRSP {
+		if e.Loc == Loc(x86.FamRSP) {
 			foundRSP = true
 		}
 	}
@@ -163,14 +163,14 @@ func TestFlagsTrackingOptional(t *testing.T) {
 	src := "add rax, rbx\nadc rcx, rdx"
 	g := build(t, src, Options{})
 	for _, e := range g.Edges {
-		if e.Loc.Kind == LocFlags {
+		if g.LocKind(e.Loc) == LocFlags {
 			t.Errorf("flags disabled but got edge %v", e)
 		}
 	}
 	g = build(t, src, Options{TrackFlags: true})
 	found := false
 	for _, e := range g.Edges {
-		if e.Loc.Kind == LocFlags && e.Hazard == RAW {
+		if g.LocKind(e.Loc) == LocFlags && e.Hazard == RAW {
 			found = true
 		}
 	}
@@ -198,9 +198,19 @@ func TestPartialRegisterFamilyGranularity(t *testing.T) {
 }
 
 func TestEdgeStringFormat(t *testing.T) {
-	e := Edge{Src: 0, Dst: 1, Hazard: RAW, Loc: Loc{Kind: LocReg, Fam: x86.FamRCX}}
-	if got := e.String(); got != "δRAW(1→2) via rcx" {
-		t.Errorf("Edge.String() = %q", got)
+	g := build(t, "add rcx, rax\nmov rdx, rcx\nmov qword ptr [rbx + 8], rdx\nmov rax, qword ptr [rbx + 8]\npush rax\npop rsi", Options{TrackFlags: true})
+	for e, want := range map[Edge]string{
+		{Src: 0, Dst: 1, Hazard: RAW, Loc: Loc(x86.FamRCX)}: "δRAW(1→2) via rcx",
+		{Src: 2, Dst: 3, Hazard: RAW, Loc: MemBase}:         "δRAW(3→4) via [rbx+8]",
+		{Src: 4, Dst: 5, Hazard: RAW, Loc: MemBase + 1}:     "δRAW(5→6) via stack",
+		{Src: 4, Dst: 5, Hazard: WAW, Loc: Loc(x86.FamRSP)}: "δWAW(5→6) via rsp",
+	} {
+		if got := g.EdgeString(e); got != want {
+			t.Errorf("EdgeString(%v) = %q, want %q", e, got, want)
+		}
+	}
+	if got := g.LocName(Loc(g.NumLocs() - 1)); got != "flags" {
+		t.Errorf("last location is %q, want flags", got)
 	}
 }
 

@@ -61,7 +61,7 @@ type Feature struct {
 	Text string
 }
 
-// Key returns a canonical identity string, used for set membership.
+// Key renders the feature's identity as a canonical string.
 func (f Feature) Key() string {
 	switch f.Kind {
 	case KindInstr:
@@ -72,6 +72,21 @@ func (f Feature) Key() string {
 		return fmt.Sprintf("count:%d", f.Count)
 	}
 	return "invalid"
+}
+
+// ident returns the feature's comparable identity: the fields its Key
+// renders, all others zeroed. Two features are the same exactly when
+// their identities are equal.
+func (f Feature) ident() Feature {
+	switch f.Kind {
+	case KindInstr:
+		return Feature{Kind: KindInstr, Index: f.Index, Opcode: f.Opcode}
+	case KindDep:
+		return Feature{Kind: KindDep, Src: f.Src, Dst: f.Dst, Hazard: f.Hazard}
+	case KindCount:
+		return Feature{Kind: KindCount, Count: f.Count}
+	}
+	return Feature{Kind: -1}
 }
 
 // String renders the feature in the paper's notation with 1-based indices
@@ -94,13 +109,13 @@ func (f Feature) String() string {
 // Set is an ordered collection of distinct features.
 type Set []Feature
 
-// NewSet builds a set, deduplicating by Key and keeping a stable order.
+// NewSet builds a set, deduplicating by identity and keeping a stable order.
 func NewSet(fs ...Feature) Set {
-	seen := make(map[string]bool, len(fs))
+	seen := make(map[Feature]bool, len(fs))
 	var out Set
 	for _, f := range fs {
-		if k := f.Key(); !seen[k] {
-			seen[k] = true
+		if id := f.ident(); !seen[id] {
+			seen[id] = true
 			out = append(out, f)
 		}
 	}
@@ -109,9 +124,9 @@ func NewSet(fs ...Feature) Set {
 
 // Contains reports membership by feature identity.
 func (s Set) Contains(f Feature) bool {
-	k := f.Key()
+	id := f.ident()
 	for _, g := range s {
-		if g.Key() == k {
+		if g.ident() == id {
 			return true
 		}
 	}
@@ -179,13 +194,8 @@ func Extract(g *deps.Graph) Set {
 			Text:   fmt.Sprintf("inst%d: %s", i+1, inst),
 		})
 	}
-	seen := make(map[string]bool)
 	for _, e := range g.Edges {
-		f := Feature{Kind: KindDep, Src: e.Src, Dst: e.Dst, Hazard: e.Hazard}
-		if k := f.Key(); !seen[k] {
-			seen[k] = true
-			fs = append(fs, f)
-		}
+		fs = append(fs, Feature{Kind: KindDep, Src: e.Src, Dst: e.Dst, Hazard: e.Hazard})
 	}
 	fs = append(fs, Feature{Kind: KindCount, Count: g.Block.Len()})
 	return NewSet(fs...)

@@ -216,3 +216,26 @@ func TestExtractFromBlock(t *testing.T) {
 		t.Errorf("expected ≥5 features, got %d", len(set))
 	}
 }
+
+// TestIdentityMatchesKey checks that the comparable identity behind
+// NewSet and Contains equates exactly the features whose Keys are equal,
+// stray fields and out-of-range kinds included.
+func TestIdentityMatchesKey(t *testing.T) {
+	var fs []Feature
+	for _, k := range []Kind{KindInstr, KindDep, KindCount, Kind(7)} {
+		for _, h := range []deps.Hazard{deps.RAW, deps.WAR, deps.WAW} {
+			for _, op := range []string{"add", "mov"} {
+				for n := 0; n < 2; n++ {
+					fs = append(fs, Feature{Kind: k, Index: n, Opcode: op, Src: n, Dst: 1, Hazard: h, Count: n + 1, Text: op})
+				}
+			}
+		}
+	}
+	for _, f := range fs {
+		for _, g := range fs {
+			if (f.ident() == g.ident()) != (f.Key() == g.Key()) {
+				t.Errorf("%+v vs %+v: identity and Key disagree", f, g)
+			}
+		}
+	}
+}

@@ -48,7 +48,7 @@ func (r Report) String() string {
 // binding resource: the frontend, the busiest execution port, or the
 // loop-carried dependency chain.
 func (s *Simulator) Analyze(b *x86.BasicBlock) (Report, error) {
-	plans, ok := s.plan(b)
+	plans, tab, ok := s.plan(b)
 	if !ok {
 		return Report{}, fmt.Errorf("hwsim: cannot analyze invalid block")
 	}
@@ -77,15 +77,7 @@ func (s *Simulator) Analyze(b *x86.BasicBlock) (Report, error) {
 			uopsList = append(uopsList, uop{s.params.LoadPorts, 1})
 		}
 		if p.hasCompute {
-			occ := 1.0
-			if p.perf.Unpipelined {
-				rthru := p.perf.RThru + s.cfg.DivRThruDelta
-				if rthru < 1 {
-					rthru = 1
-				}
-				occ = math.Ceil(rthru)
-			}
-			uopsList = append(uopsList, uop{p.perf.Ports, occ})
+			uopsList = append(uopsList, uop{p.perf.Ports, p.occupancy})
 		}
 		for st := 0; st < p.stores; st++ {
 			uopsList = append(uopsList, uop{s.params.StoreDataPts, 1})
@@ -119,7 +111,7 @@ func (s *Simulator) Analyze(b *x86.BasicBlock) (Report, error) {
 	// Dependency-chain bound: rerun with structural hazards removed (an
 	// effectively infinite frontend and fully-ported backend), leaving
 	// only data dependencies to pace the loop.
-	r.DepChainBound = s.depChainThroughput(plans)
+	r.DepChainBound = s.depChainThroughput(plans, tab.NumLocs())
 
 	r.Bottleneck = classify(r, busy)
 	return r, nil
@@ -143,13 +135,10 @@ func classify(r Report, busy []float64) string {
 
 // depChainThroughput measures cycles/iteration when only data dependencies
 // constrain execution.
-func (s *Simulator) depChainThroughput(plans []instPlan) float64 {
-	loadLat := float64(s.params.LoadLat + s.cfg.LoadLatDelta)
-	if loadLat < 1 {
-		loadLat = 1
-	}
+func (s *Simulator) depChainThroughput(plans []instPlan, numLocs int) float64 {
+	loadLat := s.loadLat()
 	iters := s.cfg.Iterations
-	ready := make(map[deps.Loc]float64)
+	ready := make([]float64, numLocs)
 	iterEnd := make([]float64, iters)
 	for iter := 0; iter < iters; iter++ {
 		end := 0.0
@@ -174,7 +163,7 @@ func (s *Simulator) depChainThroughput(plans []instPlan) float64 {
 			for _, l := range p.writes {
 				// Same write-latency semantics as the full simulator: the
 				// stack engine renames rsp immediately.
-				if p.rspFast && l.Kind == deps.LocReg && l.Fam == x86.FamRSP {
+				if p.rspFast && l == deps.Loc(x86.FamRSP) {
 					ready[l] = src + 1
 					continue
 				}

@@ -105,6 +105,7 @@ func (s *Simulator) PredictBatch(blocks []*x86.BasicBlock) []float64 {
 type instPlan struct {
 	reads, writes []deps.Loc
 	perf          x86.Perf
+	occupancy     float64 // cycles the compute uop holds its port
 	loads, stores int
 	uops          int
 	hasCompute    bool // pure loads/stores (mov/push/pop) have no ALU uop
@@ -114,20 +115,19 @@ type instPlan struct {
 // Throughput returns the predicted steady-state cycles per iteration.
 // Invalid blocks yield +Inf (they cannot execute).
 func (s *Simulator) Throughput(b *x86.BasicBlock) float64 {
-	plans, ok := s.plan(b)
+	plans, tab, ok := s.plan(b)
 	if !ok {
 		return math.Inf(1)
 	}
 
-	ready := make(map[deps.Loc]float64) // location → cycle value is ready
-	portFree := make([]float64, s.params.NumPorts)
+	// One buffer: the cycle each location's value is ready, each port's
+	// next free cycle, and each iteration's end cycle.
+	nl, np := tab.NumLocs(), s.params.NumPorts
+	buf := make([]float64, nl+np+s.cfg.Iterations)
+	ready, portFree, iterEnd := buf[:nl], buf[nl:nl+np], buf[nl+np:]
 	uopCount := 0
-	iterEnd := make([]float64, s.cfg.Iterations)
 
-	loadLat := float64(s.params.LoadLat + s.cfg.LoadLatDelta)
-	if loadLat < 1 {
-		loadLat = 1
-	}
+	loadLat := s.loadLat()
 
 	for iter := 0; iter < s.cfg.Iterations; iter++ {
 		end := 0.0
@@ -139,7 +139,7 @@ func (s *Simulator) Throughput(b *x86.BasicBlock) float64 {
 			// Operand readiness.
 			src := 0.0
 			for _, l := range p.reads {
-				if t, ok := ready[l]; ok && t > src {
+				if t := ready[l]; t > src {
 					src = t
 				}
 			}
@@ -158,15 +158,7 @@ func (s *Simulator) Throughput(b *x86.BasicBlock) float64 {
 			// Compute uop.
 			dataDone := start + dataLat
 			if p.hasCompute {
-				occupancy := 1.0
-				if p.perf.Unpipelined {
-					rthru := p.perf.RThru + s.cfg.DivRThruDelta
-					if rthru < 1 {
-						rthru = 1
-					}
-					occupancy = math.Ceil(rthru)
-				}
-				start = s.issueOnPort(start, p.perf.Ports, occupancy, portFree)
+				start = s.issueOnPort(start, p.perf.Ports, p.occupancy, portFree)
 				issue = start
 				dataDone = start + float64(p.perf.Lat) + dataLat
 			}
@@ -186,11 +178,11 @@ func (s *Simulator) Throughput(b *x86.BasicBlock) float64 {
 			done := math.Max(dataDone, memDone)
 			for _, l := range p.writes {
 				switch {
-				case p.rspFast && l.Kind == deps.LocReg && l.Fam == x86.FamRSP:
+				case p.rspFast && l == deps.Loc(x86.FamRSP):
 					// The stack engine renames rsp at issue; push/pop
 					// chains do not serialize on the memory access.
 					ready[l] = issue + 1
-				case l.Kind == deps.LocMem || l.Kind == deps.LocStack:
+				case tab.LocKind(l) == deps.LocMem || tab.LocKind(l) == deps.LocStack:
 					ready[l] = memDone
 				default:
 					ready[l] = dataDone
@@ -199,7 +191,7 @@ func (s *Simulator) Throughput(b *x86.BasicBlock) float64 {
 			if done > end {
 				end = done
 			}
-			if prev := iterEnd[maxInt(0, iter-1)]; iter > 0 && prev > end {
+			if prev := iterEnd[max(0, iter-1)]; iter > 0 && prev > end {
 				end = prev
 			}
 		}
@@ -237,20 +229,18 @@ func (s *Simulator) issueOnPort(earliest float64, eligible x86.PortSet, occupanc
 	return start
 }
 
-func (s *Simulator) plan(b *x86.BasicBlock) ([]instPlan, bool) {
+func (s *Simulator) plan(b *x86.BasicBlock) ([]instPlan, deps.Table, bool) {
 	if b == nil || b.Len() == 0 {
-		return nil, false
+		return nil, deps.Table{}, false
+	}
+	tab, err := deps.NewTable(b, deps.Options{})
+	if err != nil {
+		return nil, deps.Table{}, false
 	}
 	plans := make([]instPlan, 0, b.Len())
-	for _, inst := range b.Instructions {
-		spec, ok := inst.Spec()
-		if !ok {
-			return nil, false
-		}
-		acc, err := deps.AccessOf(inst, deps.Options{})
-		if err != nil {
-			return nil, false
-		}
+	locs := make([]deps.Loc, 0, 4*b.Len()) // backs every instruction's reads and writes
+	for i, inst := range b.Instructions {
+		spec, _ := inst.Spec() // NewTable rejected unknown opcodes
 		perf := x86.PerfOf(s.cfg.Arch, inst)
 		loads, stores := x86.MemUops(spec, inst)
 		// Pure data movement to or from memory has no ALU uop: a store is
@@ -269,10 +259,20 @@ func (s *Simulator) plan(b *x86.BasicBlock) ([]instPlan, bool) {
 		if s.cfg.ModelStoreAddr {
 			uops += stores
 		}
+		occupancy := 1.0
+		if perf.Unpipelined {
+			occupancy = math.Ceil(max(1, perf.RThru+s.cfg.DivRThruDelta))
+		}
+		n := len(locs)
+		locs = tab.AppendReads(locs, i)
+		reads := locs[n:]
+		n = len(locs)
+		locs = tab.AppendWrites(locs, i)
 		plans = append(plans, instPlan{
-			reads:      acc.Reads,
-			writes:     acc.Writes,
+			reads:      reads,
+			writes:     locs[n:],
 			perf:       perf,
+			occupancy:  occupancy,
 			loads:      loads,
 			stores:     stores,
 			uops:       uops,
@@ -280,12 +280,10 @@ func (s *Simulator) plan(b *x86.BasicBlock) ([]instPlan, bool) {
 			rspFast:    spec.StackRead || spec.StackWrite,
 		})
 	}
-	return plans, true
+	return plans, tab, true
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// loadLat is the load-to-use latency the configuration simulates.
+func (s *Simulator) loadLat() float64 {
+	return max(1, float64(s.params.LoadLat+s.cfg.LoadLatDelta))
 }

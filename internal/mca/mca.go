@@ -148,6 +148,20 @@ func (m *Model) chainBound(b *x86.BasicBlock) float64 {
 			dist[dst] = d
 		}
 	}
+	// Each location's last writer in the block, and every instruction's
+	// reads and writes, for the cross-iteration edges.
+	last := make([]int, g.NumLocs())
+	for i := range last {
+		last[i] = -1
+	}
+	reads, writes := make([][]deps.Loc, n), make([][]deps.Loc, n)
+	for i := 0; i < n; i++ {
+		reads[i] = g.AppendReads(nil, i)
+		writes[i] = g.AppendWrites(nil, i)
+		for _, l := range writes[i] {
+			last[l] = i
+		}
+	}
 	for iter := 0; iter < 2; iter++ {
 		for _, e := range g.Edges {
 			if e.Hazard != deps.RAW {
@@ -161,7 +175,7 @@ func (m *Model) chainBound(b *x86.BasicBlock) float64 {
 			// at the same or earlier position in iteration 1.
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
-					if crossDep(g, b, i, j) {
+					if crossDep(writes[i], reads[j], last, i) {
 						relax(i, j+n)
 					}
 				}
@@ -177,42 +191,19 @@ func (m *Model) chainBound(b *x86.BasicBlock) float64 {
 	return best
 }
 
-// crossDep reports whether instruction i's writes feed instruction j's
-// reads across the loop back-edge.
-func crossDep(g *deps.Graph, b *x86.BasicBlock, i, j int) bool {
-	wi, err1 := deps.AccessOf(b.Instructions[i], deps.Options{})
-	rj, err2 := deps.AccessOf(b.Instructions[j], deps.Options{})
-	if err1 != nil || err2 != nil {
-		return false
-	}
-	for _, w := range wi.Writes {
-		for _, r := range rj.Reads {
-			if w == r {
-				// Only a loop-carried dependency if no later write in the
-				// same iteration kills it before the back edge... static
-				// analyzers approximate; we require i to be the last
-				// writer of the location.
-				if lastWriter(b, w) == i {
-					return true
-				}
+// crossDep reports whether instruction i's writes feed another
+// instruction's reads across the loop back-edge.
+func crossDep(writes, reads []deps.Loc, last []int, i int) bool {
+	for _, w := range writes {
+		for _, r := range reads {
+			// Only a loop-carried dependency if no later write in the
+			// same iteration kills it before the back edge... static
+			// analyzers approximate; we require i to be the last writer
+			// of the location.
+			if w == r && last[w] == i {
+				return true
 			}
 		}
 	}
 	return false
-}
-
-func lastWriter(b *x86.BasicBlock, loc deps.Loc) int {
-	last := -1
-	for i := range b.Instructions {
-		acc, err := deps.AccessOf(b.Instructions[i], deps.Options{})
-		if err != nil {
-			continue
-		}
-		for _, w := range acc.Writes {
-			if w == loc {
-				last = i
-			}
-		}
-	}
-	return last
 }

@@ -87,10 +87,15 @@ type Perturber struct {
 	block *x86.BasicBlock
 	graph *deps.Graph
 	feats features.Set
-	// used is the set of register families the original (immutable) block
-	// touches, computed once at New: freshFamily consults it on every
-	// rename, and recomputing it per draw dominated Sample's allocations.
-	used map[x86.RegFamily]bool
+	// used holds, by family bit, the register families the original
+	// (immutable) block touches: freshFamily consults it on every rename.
+	used uint64
+	// carriers[k] holds the operand slots carrying edge k on its source
+	// and on its destination instruction. They depend only on the original
+	// block, so New computes them once for every draw.
+	carriers [][2][]slot
+	maxOps   int // most operands of any instruction, for slot indices
+	numOps   int // operands in the whole block
 }
 
 // New prepares a perturber for the block.
@@ -102,53 +107,64 @@ func New(b *x86.BasicBlock, cfg Config) (*Perturber, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Perturber{cfg: cfg, block: b, graph: g, feats: features.Extract(g)}
+	p := &Perturber{cfg: cfg, block: b, graph: g, feats: features.Extract(g), maxOps: 1}
+	for _, inst := range b.Instructions {
+		p.numOps += len(inst.Operands)
+		p.maxOps = max(p.maxOps, len(inst.Operands))
+	}
 	p.used = p.computeUsedFamilies()
+	p.carriers = make([][2][]slot, len(g.Edges))
+	for k, e := range g.Edges {
+		p.carriers[k] = [2][]slot{p.carrierSlots(e, e.Src), p.carrierSlots(e, e.Dst)}
+	}
 	return p, nil
 }
 
+// depKey identifies a dependency feature: the struct form of its Key.
+type depKey struct {
+	src, dst int
+	hazard   deps.Hazard
+}
+
 // scratch holds Sample's per-draw working state. Draws are hot — a single
-// explanation takes thousands of them — so the maps and slices are pooled
+// explanation takes thousands of them — so the map and slices are pooled
 // and reset instead of reallocated per call. Sample runs concurrently on
 // one Perturber (precision sampling is parallel), hence a pool rather
 // than a field.
 type scratch struct {
 	opcodeLocked  []bool
 	deleted       []bool
-	preservedDeps map[string]bool // Key of preserved dep features
-	lockedSlots   map[slot]bool
-	toBreak       []deps.Edge
-	slots         []slot // carrierSlots result buffer
+	preservedDeps map[depKey]bool
+	locked        []bool // by slotIndex: operand slots no rename may touch
+	toBreak       []int  // edges slated for breaking, by index
 }
 
 var scratchPool = sync.Pool{
 	New: func() any {
-		return &scratch{
-			preservedDeps: make(map[string]bool, 8),
-			lockedSlots:   make(map[slot]bool, 16),
-		}
+		return &scratch{preservedDeps: make(map[depKey]bool, 8)}
 	},
 }
 
-// getScratch borrows a cleared scratch sized for n instructions.
-func getScratch(n int) *scratch {
+// getScratch borrows a cleared scratch sized for the perturber's block.
+func (p *Perturber) getScratch() *scratch {
 	sc := scratchPool.Get().(*scratch)
-	if cap(sc.opcodeLocked) < n {
-		sc.opcodeLocked = make([]bool, n)
-	}
-	if cap(sc.deleted) < n {
-		sc.deleted = make([]bool, n)
-	}
-	sc.opcodeLocked = sc.opcodeLocked[:n]
-	sc.deleted = sc.deleted[:n]
-	for i := 0; i < n; i++ {
-		sc.opcodeLocked[i] = false
-		sc.deleted[i] = false
-	}
+	n := p.block.Len()
+	sc.opcodeLocked = resetBools(sc.opcodeLocked, n)
+	sc.deleted = resetBools(sc.deleted, n)
+	sc.locked = resetBools(sc.locked, n*p.maxOps*int(numParts))
 	clear(sc.preservedDeps)
-	clear(sc.lockedSlots)
 	sc.toBreak = sc.toBreak[:0]
 	return sc
+}
+
+// resetBools returns a slice of n false values, reusing b's storage.
+func resetBools(b []bool, n int) []bool {
+	if cap(b) < n {
+		return make([]bool, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
 }
 
 // Block returns the original block.
@@ -168,6 +184,8 @@ const (
 	partBase
 	partIndex
 	partMemWhole // the memory operand as an addressable location (for disp changes)
+
+	numParts
 )
 
 // slot addresses one renameable register (or memory expression) position.
@@ -177,58 +195,70 @@ type slot struct {
 	part slotPart
 }
 
-// Sample draws one perturbation retaining the features in preserve.
-// The rng must not be shared across goroutines.
-func (p *Perturber) Sample(rng *rand.Rand, preserve features.Set) Result {
-	insts := make([]x86.Instruction, p.block.Len())
-	for i, inst := range p.block.Instructions {
-		insts[i] = inst.Clone()
-	}
+// slotIndex numbers the block's slots densely.
+func (p *Perturber) slotIndex(s slot) int {
+	return (s.inst*p.maxOps+s.op)*int(numParts) + int(s.part)
+}
 
-	sc := getScratch(len(insts))
-	defer scratchPool.Put(sc)
-	preserveEta := false
-	opcodeLocked := sc.opcodeLocked
-	preservedDeps := sc.preservedDeps
+// readPreserve marks the opcodes and dependencies the preserved features
+// pin and reports whether η is preserved.
+func (p *Perturber) readPreserve(sc *scratch, preserve features.Set) (preserveEta bool) {
+	n := p.block.Len()
 	for _, f := range preserve {
 		switch f.Kind {
 		case features.KindCount:
 			preserveEta = true
 		case features.KindInstr:
-			if f.Index < len(insts) {
-				opcodeLocked[f.Index] = true
+			if f.Index < n {
+				sc.opcodeLocked[f.Index] = true
 			}
 		case features.KindDep:
-			preservedDeps[f.Key()] = true
+			sc.preservedDeps[depKey{f.Src, f.Dst, f.Hazard}] = true
 			// Γ preserves the opcodes of the instructions at the ends of
 			// every preserved dependency (Section 5.2).
-			if f.Src < len(insts) {
-				opcodeLocked[f.Src] = true
+			if f.Src < n {
+				sc.opcodeLocked[f.Src] = true
 			}
-			if f.Dst < len(insts) {
-				opcodeLocked[f.Dst] = true
+			if f.Dst < n {
+				sc.opcodeLocked[f.Dst] = true
 			}
 		}
 	}
+	return preserveEta
+}
+
+// Sample draws one perturbation retaining the features in preserve.
+// The rng must not be shared across goroutines.
+func (p *Perturber) Sample(rng *rand.Rand, preserve features.Set) Result {
+	// Copy the block: one instruction slice and one operand array.
+	insts := make([]x86.Instruction, p.block.Len())
+	ops := make([]x86.Operand, p.numOps)
+	for i, inst := range p.block.Instructions {
+		k := copy(ops, inst.Operands)
+		insts[i] = x86.Instruction{Opcode: inst.Opcode, Operands: ops[:k:k]}
+		ops = ops[k:]
+	}
+
+	sc := p.getScratch()
+	defer scratchPool.Put(sc)
+	preserveEta := p.readPreserve(sc, preserve)
 
 	// Decide, per non-preserved dependency edge, whether it is explicitly
 	// retained (locked), passively retained, or slated for breaking. Edges
 	// that carry a preserved feature are always locked.
-	lockedSlots := sc.lockedSlots
-	for _, e := range p.graph.Edges {
-		key := features.Feature{Kind: features.KindDep, Src: e.Src, Dst: e.Dst, Hazard: e.Hazard}.Key()
-		if preservedDeps[key] {
-			p.lockEdgeSlots(sc, e, lockedSlots)
+	for k, e := range p.graph.Edges {
+		if sc.preservedDeps[depKey{e.Src, e.Dst, e.Hazard}] {
+			p.lockEdgeSlots(k, sc.locked)
 			continue
 		}
 		r := rng.Float64()
 		switch {
 		case r < p.cfg.PExplicitDepRetain:
-			p.lockEdgeSlots(sc, e, lockedSlots)
+			p.lockEdgeSlots(k, sc.locked)
 		case r < p.cfg.PExplicitDepRetain+(1-p.cfg.PExplicitDepRetain)*p.cfg.PDepRetain:
 			// passively retained this draw
 		default:
-			sc.toBreak = append(sc.toBreak, e)
+			sc.toBreak = append(sc.toBreak, k)
 		}
 	}
 
@@ -236,7 +266,7 @@ func (p *Perturber) Sample(rng *rand.Rand, preserve features.Set) Result {
 	deleted := sc.deleted
 	remaining := len(insts)
 	for i := range insts {
-		if opcodeLocked[i] {
+		if sc.opcodeLocked[i] {
 			continue
 		}
 		if rng.Float64() < p.cfg.PInstRetain {
@@ -248,19 +278,19 @@ func (p *Perturber) Sample(rng *rand.Rand, preserve features.Set) Result {
 			remaining--
 			continue
 		}
-		p.replaceOpcode(rng, insts, i, lockedSlots)
+		p.replaceOpcode(rng, insts, i, sc.locked)
 	}
 
 	// Edge perturbation: break dependencies by renaming carrier operands.
-	for _, e := range sc.toBreak {
-		if deleted[e.Src] || deleted[e.Dst] {
+	for _, k := range sc.toBreak {
+		if e := p.graph.Edges[k]; deleted[e.Src] || deleted[e.Dst] {
 			continue // the edge died with its endpoint
 		}
-		p.breakEdge(sc, rng, insts, e, lockedSlots)
+		p.breakEdge(rng, insts, k, sc.locked)
 	}
 
-	// Assemble the surviving instructions and the index mapping.
-	var out []x86.Instruction
+	// Compact the survivors in place and record the index mapping.
+	out := insts[:0]
 	mapping := make([]int, len(insts))
 	for i := range insts {
 		if deleted[i] {
@@ -273,10 +303,17 @@ func (p *Perturber) Sample(rng *rand.Rand, preserve features.Set) Result {
 	return Result{Block: x86.NewBlock(out...), Mapping: mapping}
 }
 
+// valid reports whether an instruction matches a form of its opcode: the
+// allocation-free form of Instruction.Validate for the draw loop.
+func valid(inst x86.Instruction) bool {
+	spec, ok := inst.Spec()
+	return ok && spec.MatchForm(inst.Operands) != nil
+}
+
 // replaceOpcode swaps instruction i's opcode for a random valid alternative
 // (retaining when none exists, e.g. lea). Under the WholeInstruction scheme
 // it additionally renames the instruction's unlocked register operands.
-func (p *Perturber) replaceOpcode(rng *rand.Rand, insts []x86.Instruction, i int, locked map[slot]bool) {
+func (p *Perturber) replaceOpcode(rng *rand.Rand, insts []x86.Instruction, i int, locked []bool) {
 	cands := x86.ReplacementCandidates(insts[i])
 	if len(cands) > 0 {
 		insts[i].Opcode = cands[rng.Intn(len(cands))]
@@ -287,44 +324,38 @@ func (p *Perturber) replaceOpcode(rng *rand.Rand, insts []x86.Instruction, i int
 	// Whole-instruction scheme: also rename register operands.
 	for op := range insts[i].Operands {
 		o := insts[i].Operands[op]
-		if o.Kind != x86.KindReg || locked[slot{i, op, partReg}] {
+		if o.Kind != x86.KindReg || locked[p.slotIndex(slot{i, op, partReg})] {
 			continue
 		}
 		old := insts[i].Operands[op].Reg
 		insts[i].Operands[op].Reg = p.randomRegLike(rng, o.Reg)
-		if insts[i].Validate() != nil {
+		if !valid(insts[i]) {
 			insts[i].Operands[op].Reg = old // e.g. shift counts must stay cl
 		}
 	}
 }
 
-// lockEdgeSlots marks every operand slot carrying edge e as unmodifiable.
+// lockEdgeSlots marks every operand slot carrying edge k as unmodifiable.
 // Locking a memory location also locks its base and index registers:
 // renaming those would change the address and silently break the
 // dependency.
-func (p *Perturber) lockEdgeSlots(sc *scratch, e deps.Edge, locked map[slot]bool) {
-	lock := func(s slot) {
-		locked[s] = true
-		if s.part == partMemWhole {
-			locked[slot{s.inst, s.op, partBase}] = true
-			locked[slot{s.inst, s.op, partIndex}] = true
+func (p *Perturber) lockEdgeSlots(k int, locked []bool) {
+	for _, side := range p.carriers[k] {
+		for _, s := range side {
+			locked[p.slotIndex(s)] = true
+			if s.part == partMemWhole {
+				locked[p.slotIndex(slot{s.inst, s.op, partBase})] = true
+				locked[p.slotIndex(slot{s.inst, s.op, partIndex})] = true
+			}
 		}
-	}
-	for _, s := range p.carrierSlots(sc, e, e.Src) {
-		lock(s)
-	}
-	for _, s := range p.carrierSlots(sc, e, e.Dst) {
-		lock(s)
 	}
 }
 
 // carrierSlots returns the operand slots of instruction idx through which
 // edge e is carried (write side for the earlier instruction of RAW/WAW,
 // read side for the later instruction of RAW, and so on). Implicit
-// register accesses have no slot and thus cannot be renamed. The result
-// is appended into sc's slot buffer and is valid until the next
-// carrierSlots call on the same scratch.
-func (p *Perturber) carrierSlots(sc *scratch, e deps.Edge, idx int) []slot {
+// register accesses have no slot and thus cannot be renamed.
+func (p *Perturber) carrierSlots(e deps.Edge, idx int) []slot {
 	inst := p.block.Instructions[idx]
 	spec, ok := inst.Spec()
 	if !ok {
@@ -344,10 +375,10 @@ func (p *Perturber) carrierSlots(sc *scratch, e deps.Edge, idx int) []slot {
 		wantWrite = true
 	}
 
-	slots := sc.slots[:0]
-	switch e.Loc.Kind {
+	var slots []slot
+	switch p.graph.LocKind(e.Loc) {
 	case deps.LocReg:
-		fam := e.Loc.Fam
+		fam := x86.RegFamily(e.Loc)
 		for i, o := range inst.Operands {
 			acc := form.Ops[i].Access
 			switch o.Kind {
@@ -372,35 +403,36 @@ func (p *Perturber) carrierSlots(sc *scratch, e deps.Edge, idx int) []slot {
 			}
 		}
 	case deps.LocMem:
+		// An instruction has at most one memory operand, so the edge's
+		// location is that operand's expression.
 		for i, o := range inst.Operands {
-			if o.Kind == x86.KindMem && o.Mem.LocKey() == e.Loc.Mem {
+			if o.Kind == x86.KindMem {
 				slots = append(slots, slot{idx, i, partMemWhole})
 			}
 		}
 	case deps.LocStack, deps.LocFlags:
 		// Carried implicitly; not renameable.
 	}
-	sc.slots = slots // keep the (possibly grown) buffer for the next call
 	return slots
 }
 
-// breakEdge attempts to delete dependency e by renaming its carrier
+// breakEdge attempts to delete dependency edge k by renaming its carrier
 // operands on one side. Preference goes to the destination instruction;
 // if all carrier slots on both sides are locked or implicit, the
 // dependency is retained (the block-specific probability shift of App. D).
-func (p *Perturber) breakEdge(sc *scratch, rng *rand.Rand, insts []x86.Instruction, e deps.Edge, locked map[slot]bool) {
-	sides := [2]int{e.Dst, e.Src}
+func (p *Perturber) breakEdge(rng *rand.Rand, insts []x86.Instruction, k int, locked []bool) {
+	sides := [2]int{1, 0} // carriers index: destination, then source
 	if rng.Intn(2) == 0 {
-		sides = [2]int{e.Src, e.Dst}
+		sides = [2]int{0, 1}
 	}
 	for _, side := range sides {
-		slots := p.carrierSlots(sc, e, side)
+		slots := p.carriers[k][side]
 		if len(slots) == 0 {
 			continue
 		}
 		anyLocked := false
 		for _, s := range slots {
-			if locked[s] {
+			if locked[p.slotIndex(s)] {
 				anyLocked = true
 				break
 			}
@@ -408,11 +440,11 @@ func (p *Perturber) breakEdge(sc *scratch, rng *rand.Rand, insts []x86.Instructi
 		if anyLocked {
 			continue
 		}
-		if p.renameSlots(rng, insts, slots, e.Loc) {
+		if p.renameSlots(rng, insts, slots, p.graph.LocKind(p.graph.Edges[k].Loc)) {
 			// Renamed slots must not be re-renamed by later breaks, or a
 			// subsequent rename could recreate a broken dependency.
 			for _, s := range slots {
-				locked[s] = true
+				locked[p.slotIndex(s)] = true
 			}
 			return
 		}
@@ -420,13 +452,15 @@ func (p *Perturber) breakEdge(sc *scratch, rng *rand.Rand, insts []x86.Instructi
 }
 
 // renameSlots rewrites all given slots (which belong to one instruction and
-// one location) to a fresh register family or displaced address, keeping
-// the instruction valid. Reports whether the rename was applied.
-func (p *Perturber) renameSlots(rng *rand.Rand, insts []x86.Instruction, slots []slot, loc deps.Loc) bool {
+// one location of the given kind) to a fresh register family or displaced
+// address, keeping the instruction valid. Reports whether the rename was
+// applied.
+func (p *Perturber) renameSlots(rng *rand.Rand, insts []x86.Instruction, slots []slot, kind deps.LocKind) bool {
 	idx := slots[0].inst
-	saved := insts[idx].Clone()
+	var savedBuf [4]x86.Operand
+	saved := append(savedBuf[:0], insts[idx].Operands...)
 
-	switch loc.Kind {
+	switch kind {
 	case deps.LocReg:
 		var oldReg x86.Reg
 		switch slots[0].part {
@@ -466,8 +500,8 @@ func (p *Perturber) renameSlots(rng *rand.Rand, insts []x86.Instruction, slots [
 		return false
 	}
 
-	if insts[idx].Validate() != nil {
-		insts[idx] = saved // e.g. renaming a RequireReg operand
+	if !valid(insts[idx]) {
+		copy(insts[idx].Operands, saved) // e.g. renaming a RequireReg operand
 		return false
 	}
 	return true
@@ -486,26 +520,42 @@ func (p *Perturber) freshFamily(rng *rand.Rand, old x86.Reg) x86.RegFamily {
 	} else {
 		return x86.FamNone
 	}
-	used := p.used
-	var unused, others []x86.RegFamily
+	// Count the unused and the other candidates, then draw the k-th of
+	// the preferred group.
+	nUnused, nOthers := 0, 0
 	for _, f := range pool {
 		if f == x86.FamRSP || f == old.Family {
 			continue
 		}
-		if used[f] {
-			others = append(others, f)
+		if p.uses(f) {
+			nOthers++
 		} else {
-			unused = append(unused, f)
+			nUnused++
 		}
 	}
-	if len(unused) > 0 {
-		return unused[rng.Intn(len(unused))]
+	wantUsed, k := false, 0
+	switch {
+	case nUnused > 0:
+		k = rng.Intn(nUnused)
+	case nOthers > 0:
+		wantUsed, k = true, rng.Intn(nOthers)
+	default:
+		return x86.FamNone
 	}
-	if len(others) > 0 {
-		return others[rng.Intn(len(others))]
+	for _, f := range pool {
+		if f == x86.FamRSP || f == old.Family || p.uses(f) != wantUsed {
+			continue
+		}
+		if k == 0 {
+			return f
+		}
+		k--
 	}
 	return x86.FamNone
 }
+
+// uses reports whether the original block touches register family f.
+func (p *Perturber) uses(f x86.RegFamily) bool { return p.used&(1<<uint(f)) != 0 }
 
 // randomRegLike returns a random register with old's bank and width
 // (for the WholeInstruction ablation scheme).
@@ -526,29 +576,29 @@ func (p *Perturber) randomRegLike(rng *rand.Rand, old x86.Reg) x86.Reg {
 
 // computeUsedFamilies walks the original block once at New; the result is
 // immutable for the Perturber's lifetime (Sample never mutates the
-// original block, only clones).
-func (p *Perturber) computeUsedFamilies() map[x86.RegFamily]bool {
-	used := make(map[x86.RegFamily]bool)
+// original block, only copies).
+func (p *Perturber) computeUsedFamilies() uint64 {
+	var used uint64
 	for _, inst := range p.block.Instructions {
 		for _, o := range inst.Operands {
 			switch o.Kind {
 			case x86.KindReg:
-				used[o.Reg.Family] = true
+				used |= 1 << uint(o.Reg.Family)
 			case x86.KindMem, x86.KindAddr:
 				if !o.Mem.Base.IsZero() {
-					used[o.Mem.Base.Family] = true
+					used |= 1 << uint(o.Mem.Base.Family)
 				}
 				if !o.Mem.Index.IsZero() {
-					used[o.Mem.Index.Family] = true
+					used |= 1 << uint(o.Mem.Index.Family)
 				}
 			}
 		}
 		if spec, ok := inst.Spec(); ok {
 			for _, f := range spec.ImplicitReads {
-				used[f] = true
+				used |= 1 << uint(f)
 			}
 			for _, f := range spec.ImplicitWrites {
-				used[f] = true
+				used |= 1 << uint(f)
 			}
 		}
 	}
@@ -562,24 +612,12 @@ func (p *Perturber) computeUsedFamilies() map[x86.RegFamily]bool {
 // available. It is an estimate of the same flavor as the paper's (which
 // reports e.g. |Π̂(β1)(∅)| ≈ 1.94×10^38).
 func (p *Perturber) SpaceSize(preserve features.Set) float64 {
-	preserveEta := false
-	locked := make([]bool, p.block.Len())
-	preservedDeps := make(map[string]bool)
-	for _, f := range preserve {
-		switch f.Kind {
-		case features.KindCount:
-			preserveEta = true
-		case features.KindInstr:
-			locked[f.Index] = true
-		case features.KindDep:
-			preservedDeps[f.Key()] = true
-			locked[f.Src] = true
-			locked[f.Dst] = true
-		}
-	}
+	sc := p.getScratch()
+	defer scratchPool.Put(sc)
+	preserveEta := p.readPreserve(sc, preserve)
 	log10 := 0.0
 	for i, inst := range p.block.Instructions {
-		if locked[i] {
+		if sc.opcodeLocked[i] {
 			continue
 		}
 		choices := 1 + len(x86.ReplacementCandidates(inst))
@@ -593,27 +631,22 @@ func (p *Perturber) SpaceSize(preserve features.Set) float64 {
 	// has the same alternative pool regardless of how many dependencies it
 	// carries.
 	const regAlternatives = 14.0 // same-bank families excluding RSP and current
-	sc := getScratch(p.block.Len())
-	defer scratchPool.Put(sc)
-	lockedSlots := make(map[slot]bool)
-	for _, e := range p.graph.Edges {
-		key := features.Feature{Kind: features.KindDep, Src: e.Src, Dst: e.Dst, Hazard: e.Hazard}.Key()
-		if preservedDeps[key] {
-			p.lockEdgeSlots(sc, e, lockedSlots)
+	for k, e := range p.graph.Edges {
+		if sc.preservedDeps[depKey{e.Src, e.Dst, e.Hazard}] {
+			p.lockEdgeSlots(k, sc.locked)
 		}
 	}
-	seen := make(map[slot]bool)
-	for _, e := range p.graph.Edges {
-		for _, idx := range [2]int{e.Src, e.Dst} {
-			if locked[idx] {
+	seen := make([]bool, len(sc.locked))
+	for k, e := range p.graph.Edges {
+		for side, idx := range [2]int{e.Src, e.Dst} {
+			if sc.opcodeLocked[idx] {
 				continue
 			}
-			for _, s := range p.carrierSlots(sc, e, idx) {
-				if seen[s] || lockedSlots[s] {
-					continue
+			for _, s := range p.carriers[k][side] {
+				if i := p.slotIndex(s); !seen[i] && !sc.locked[i] {
+					seen[i] = true
+					log10 += math.Log10(1 + regAlternatives)
 				}
-				seen[s] = true
-				log10 += math.Log10(1 + regAlternatives)
 			}
 		}
 	}

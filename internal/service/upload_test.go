@@ -7,6 +7,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
@@ -160,6 +161,11 @@ func TestCorpusUploadMatchesJSONCorpus(t *testing.T) {
 	}
 	if len(jsonResults) != len(upResults) {
 		t.Fatalf("result counts differ: json %d, upload %d", len(jsonResults), len(upResults))
+	}
+	// Results arrive in completion order, which depends on scheduling;
+	// compare block by block.
+	for _, rs := range [][]wire.CorpusResult{jsonResults, upResults} {
+		sort.Slice(rs, func(i, j int) bool { return rs[i].Index < rs[j].Index })
 	}
 	for i := range jsonResults {
 		a, b := jsonResults[i], upResults[i]

@@ -2,7 +2,7 @@ package x86
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // OperandKind classifies an instruction operand.
@@ -49,42 +49,65 @@ type MemRef struct {
 // register-family granularity. Two memory operands are considered to alias
 // exactly when their keys are equal (syntactic aliasing, as in the paper's
 // multigraph construction).
-func (m MemRef) LocKey() string {
-	var b strings.Builder
-	b.WriteByte('[')
+func (m MemRef) LocKey() string { return string(m.AppendLocKey(nil)) }
+
+// AppendLocKey appends the text of LocKey to dst.
+func (m MemRef) AppendLocKey(dst []byte) []byte {
+	dst = append(dst, '[')
 	if !m.Base.IsZero() {
-		b.WriteString(FamilyName(m.Base.Family))
+		dst = append(dst, FamilyName(m.Base.Family)...)
 	}
 	if !m.Index.IsZero() {
-		fmt.Fprintf(&b, "+%s*%d", FamilyName(m.Index.Family), m.Scale)
+		dst = append(dst, '+')
+		dst = append(dst, FamilyName(m.Index.Family)...)
+		dst = append(dst, '*')
+		dst = strconv.AppendInt(dst, int64(m.Scale), 10)
 	}
-	fmt.Fprintf(&b, "%+d]", m.Disp)
-	return b.String()
+	if m.Disp >= 0 {
+		dst = append(dst, '+')
+	}
+	dst = strconv.AppendInt(dst, m.Disp, 10)
+	return append(dst, ']')
 }
 
 // String renders the bracketed addressing expression in Intel syntax.
-func (m MemRef) String() string {
-	var parts []string
+func (m MemRef) String() string { return string(m.appendText(nil)) }
+
+func (m MemRef) appendText(dst []byte) []byte {
+	dst = append(dst, '[')
+	start := len(dst)
 	if !m.Base.IsZero() {
-		parts = append(parts, m.Base.String())
+		dst = appendReg(dst, m.Base)
 	}
 	if !m.Index.IsZero() {
+		if len(dst) > start {
+			dst = append(dst, " + "...)
+		}
+		dst = appendReg(dst, m.Index)
 		if m.Scale > 1 {
-			parts = append(parts, fmt.Sprintf("%s*%d", m.Index, m.Scale))
-		} else {
-			parts = append(parts, m.Index.String())
+			dst = append(dst, '*')
+			dst = strconv.AppendInt(dst, int64(m.Scale), 10)
 		}
 	}
-	expr := strings.Join(parts, " + ")
+	empty := len(dst) == start
 	switch {
 	case m.Disp < 0:
-		expr = fmt.Sprintf("%s - %d", expr, -m.Disp)
-	case m.Disp > 0 && expr != "":
-		expr = fmt.Sprintf("%s + %d", expr, m.Disp)
-	case expr == "":
-		expr = fmt.Sprintf("%d", m.Disp)
+		dst = append(dst, " - "...)
+		dst = strconv.AppendInt(dst, -m.Disp, 10)
+	case m.Disp > 0 && !empty:
+		dst = append(dst, " + "...)
+		dst = strconv.AppendInt(dst, m.Disp, 10)
+	case empty:
+		dst = strconv.AppendInt(dst, m.Disp, 10)
 	}
-	return "[" + expr + "]"
+	return append(dst, ']')
+}
+
+func appendReg(dst []byte, r Reg) []byte {
+	if name := r.name(); name != "" {
+		return append(dst, name...)
+	}
+	return append(dst, r.String()...)
 }
 
 // Regs returns the register families the address expression reads.
@@ -126,13 +149,24 @@ func NewMem(m MemRef, size int) Operand { return Operand{Kind: KindMem, Mem: m, 
 // NewAddr returns a lea-style effective-address operand.
 func NewAddr(m MemRef) Operand { return Operand{Kind: KindAddr, Mem: m, Size: Size64} }
 
-var sizeQualifier = map[int]string{
-	Size8:   "byte ptr",
-	Size16:  "word ptr",
-	Size32:  "dword ptr",
-	Size64:  "qword ptr",
-	Size128: "xmmword ptr",
-	Size256: "ymmword ptr",
+// sizeQualifier returns the Intel-syntax width qualifier of a memory
+// operand, or "" for a width the ISA subset does not have.
+func sizeQualifier(size int) string {
+	switch size {
+	case Size8:
+		return "byte ptr"
+	case Size16:
+		return "word ptr"
+	case Size32:
+		return "dword ptr"
+	case Size64:
+		return "qword ptr"
+	case Size128:
+		return "xmmword ptr"
+	case Size256:
+		return "ymmword ptr"
+	}
+	return ""
 }
 
 var qualifierSize = map[string]int{
@@ -145,22 +179,28 @@ var qualifierSize = map[string]int{
 }
 
 // String renders the operand in Intel syntax.
-func (o Operand) String() string {
+func (o Operand) String() string { return string(o.appendText(nil)) }
+
+func (o Operand) appendText(dst []byte) []byte {
 	switch o.Kind {
 	case KindReg:
-		return o.Reg.String()
+		return appendReg(dst, o.Reg)
 	case KindImm:
-		return fmt.Sprintf("%d", o.Imm)
+		return strconv.AppendInt(dst, o.Imm, 10)
 	case KindMem:
-		q, ok := sizeQualifier[o.Size]
-		if !ok {
-			q = fmt.Sprintf("size%d ptr", o.Size)
+		if q := sizeQualifier(o.Size); q != "" {
+			dst = append(dst, q...)
+		} else {
+			dst = append(dst, "size"...)
+			dst = strconv.AppendInt(dst, int64(o.Size), 10)
+			dst = append(dst, " ptr"...)
 		}
-		return q + " " + o.Mem.String()
+		dst = append(dst, ' ')
+		return o.Mem.appendText(dst)
 	case KindAddr:
-		return o.Mem.String()
+		return o.Mem.appendText(dst)
 	}
-	return "<bad operand>"
+	return append(dst, "<bad operand>"...)
 }
 
 // Equal reports structural equality of two operands.

@@ -60,7 +60,9 @@ const (
 	FamXMM15
 	FamFlags // pseudo-family for RFLAGS
 
-	numFamilies
+	// NumFamilies is one past the last family: family indices are
+	// 0..NumFamilies-1.
+	NumFamilies
 )
 
 // Operand and register widths, in bits.
@@ -89,7 +91,7 @@ func (r Reg) IsGP() bool { return r.Family >= FamRAX && r.Family <= FamR15 }
 // IsVec reports whether r is an SSE/AVX vector register.
 func (r Reg) IsVec() bool { return r.Family >= FamXMM0 && r.Family <= FamXMM15 }
 
-var gpNames = map[RegFamily][4]string{
+var gpNames = [FamR15 + 1][4]string{
 	// order: 64, 32, 16, 8-bit names
 	FamRAX: {"rax", "eax", "ax", "al"},
 	FamRBX: {"rbx", "ebx", "bx", "bl"},
@@ -123,31 +125,50 @@ func sizeIndex(size int) int {
 	return -1
 }
 
+// vecNames holds the xmm and ymm names of each vector family.
+var vecNames = func() (names [16][2]string) {
+	for i := range names {
+		names[i] = [2]string{fmt.Sprintf("xmm%d", i), fmt.Sprintf("ymm%d", i)}
+	}
+	return names
+}()
+
 // String returns the canonical Intel-syntax name of the register
 // ("rax", "eax", "xmm3", "ymm3", ...).
 func (r Reg) String() string {
+	if name := r.name(); name != "" {
+		return name
+	}
+	switch {
+	case r.IsGP():
+		return fmt.Sprintf("<bad gp size %d>", r.Size)
+	case r.IsVec():
+		return fmt.Sprintf("<bad vec size %d>", r.Size)
+	}
+	return fmt.Sprintf("<bad reg %d/%d>", r.Family, r.Size)
+}
+
+// name returns the register's name from the static tables, or "" for a
+// malformed register.
+func (r Reg) name() string {
 	switch {
 	case r.IsZero():
 		return "<none>"
 	case r.Family == FamFlags:
 		return "rflags"
 	case r.IsGP():
-		i := sizeIndex(r.Size)
-		if i < 0 {
-			return fmt.Sprintf("<bad gp size %d>", r.Size)
+		if i := sizeIndex(r.Size); i >= 0 {
+			return gpNames[r.Family][i]
 		}
-		return gpNames[r.Family][i]
 	case r.IsVec():
-		n := int(r.Family - FamXMM0)
 		switch r.Size {
 		case Size128:
-			return fmt.Sprintf("xmm%d", n)
+			return vecNames[r.Family-FamXMM0][0]
 		case Size256:
-			return fmt.Sprintf("ymm%d", n)
+			return vecNames[r.Family-FamXMM0][1]
 		}
-		return fmt.Sprintf("<bad vec size %d>", r.Size)
 	}
-	return fmt.Sprintf("<bad reg %d/%d>", r.Family, r.Size)
+	return ""
 }
 
 var regByName = buildRegByName()
@@ -155,15 +176,18 @@ var regByName = buildRegByName()
 func buildRegByName() map[string]Reg {
 	m := make(map[string]Reg)
 	for fam, names := range gpNames {
+		if fam == int(FamNone) {
+			continue
+		}
 		for i, name := range names {
 			size := []int{Size64, Size32, Size16, Size8}[i]
-			m[name] = Reg{Family: fam, Size: size}
+			m[name] = Reg{Family: RegFamily(fam), Size: size}
 		}
 	}
-	for i := 0; i < 16; i++ {
+	for i, names := range vecNames {
 		fam := FamXMM0 + RegFamily(i)
-		m[fmt.Sprintf("xmm%d", i)] = Reg{Family: fam, Size: Size128}
-		m[fmt.Sprintf("ymm%d", i)] = Reg{Family: fam, Size: Size256}
+		m[names[0]] = Reg{Family: fam, Size: Size128}
+		m[names[1]] = Reg{Family: fam, Size: Size256}
 	}
 	return m
 }
@@ -174,25 +198,29 @@ func LookupReg(name string) (Reg, bool) {
 	return r, ok
 }
 
-// GPFamilies lists the sixteen general-purpose register families in
-// encoding order. RSP is included; callers that must avoid perturbing the
-// stack pointer filter it out explicitly.
-func GPFamilies() []RegFamily {
-	fams := make([]RegFamily, 0, 16)
-	for f := FamRAX; f <= FamR15; f++ {
+// gpFamilies and vecFamilies back GPFamilies and VecFamilies.
+var (
+	gpFamilies  = familyRange(FamRAX, FamR15)
+	vecFamilies = familyRange(FamXMM0, FamXMM15)
+)
+
+func familyRange(lo, hi RegFamily) []RegFamily {
+	fams := make([]RegFamily, 0, hi-lo+1)
+	for f := lo; f <= hi; f++ {
 		fams = append(fams, f)
 	}
 	return fams
 }
 
-// VecFamilies lists the sixteen xmm/ymm register families.
-func VecFamilies() []RegFamily {
-	fams := make([]RegFamily, 0, 16)
-	for f := FamXMM0; f <= FamXMM15; f++ {
-		fams = append(fams, f)
-	}
-	return fams
-}
+// GPFamilies lists the sixteen general-purpose register families in
+// encoding order. RSP is included; callers that must avoid perturbing the
+// stack pointer filter it out explicitly. The slice is shared: callers
+// must not mutate it.
+func GPFamilies() []RegFamily { return gpFamilies }
+
+// VecFamilies lists the sixteen xmm/ymm register families. The slice is
+// shared: callers must not mutate it.
+func VecFamilies() []RegFamily { return vecFamilies }
 
 // FamilyName returns the 64-bit (or xmm) name of a family, used in
 // dependency-location keys and diagnostics.
@@ -205,7 +233,7 @@ func FamilyName(f RegFamily) string {
 	case f >= FamRAX && f <= FamR15:
 		return gpNames[f][0]
 	case f >= FamXMM0 && f <= FamXMM15:
-		return fmt.Sprintf("xmm%d", int(f-FamXMM0))
+		return vecNames[f-FamXMM0][0]
 	}
 	return fmt.Sprintf("<fam %d>", int(f))
 }

@@ -568,76 +568,65 @@ func Opcodes() []string {
 // ---- opcode replacement candidates -----------------------------------------
 
 var (
-	candMu    sync.Mutex
-	candCache = make(map[string][]string)
+	candMu    sync.RWMutex
+	candCache = make(map[candKey][]string)
 )
+
+// maxCandOps bounds the operand lists whose candidates are cached. No form
+// of the table takes more operands, so longer lists are matched uncached.
+const maxCandOps = 4
+
+// candKey is an instruction's identity for the candidate cache: its own
+// opcode (which the candidates exclude) and everything Form.Match can
+// observe of its operands — kinds, widths and exact registers (for
+// RequireReg and register-bank checks).
+type candKey struct {
+	opcode string
+	n      int
+	ops    [maxCandOps]opShape
+}
+
+type opShape struct {
+	kind OperandKind
+	reg  Reg
+	size int
+}
 
 // ReplacementCandidates returns the opcodes (other than inst's own) that
 // accept inst's exact operand list, i.e. the valid vertex perturbations of
-// the paper's Γ algorithm. The result is sorted and cached; callers must
-// not mutate it.
+// the paper's Γ algorithm. The result is sorted and shared across calls:
+// callers must not mutate it.
 func ReplacementCandidates(inst Instruction) []string {
-	key := inst.shapeKey()
-	candMu.Lock()
+	if len(inst.Operands) > maxCandOps {
+		return matchingOpcodes(inst, strings.ToLower(inst.Opcode))
+	}
+	key := candKey{opcode: strings.ToLower(inst.Opcode), n: len(inst.Operands)}
+	for i, o := range inst.Operands {
+		key.ops[i] = opShape{kind: o.Kind, size: o.Size}
+		if o.Kind == KindReg {
+			key.ops[i].reg = o.Reg
+		}
+	}
+	candMu.RLock()
 	cached, ok := candCache[key]
-	candMu.Unlock()
+	candMu.RUnlock()
 	if !ok {
-		var names []string
-		for _, name := range Opcodes() {
-			spec := specTable[name]
-			if spec.MatchForm(inst.Operands) != nil {
-				names = append(names, name)
-			}
-		}
+		cached = matchingOpcodes(inst, key.opcode)
 		candMu.Lock()
-		candCache[key] = names
+		candCache[key] = cached
 		candMu.Unlock()
-		cached = names
 	}
-	out := make([]string, 0, len(cached))
-	for _, name := range cached {
-		if name != strings.ToLower(inst.Opcode) {
-			out = append(out, name)
-		}
-	}
-	return out
+	return cached
 }
 
-// shapeKey canonicalizes the operand list for the candidate cache. It must
-// capture everything Form.Match can observe: kinds, sizes, exact registers
-// (for RequireReg and size-relation checks) and immediate magnitudes are
-// reduced to width only.
-func (inst Instruction) shapeKey() string {
-	var b strings.Builder
-	for _, o := range inst.Operands {
-		switch o.Kind {
-		case KindReg:
-			b.WriteString("r:")
-			b.WriteString(o.Reg.String())
-		case KindMem:
-			b.WriteString("m:")
-		case KindImm:
-			b.WriteString("i:")
-		case KindAddr:
-			b.WriteString("a:")
+// matchingOpcodes lists, in sorted order, the opcodes other than own whose
+// forms accept inst's operands.
+func matchingOpcodes(inst Instruction, own string) []string {
+	var names []string
+	for _, name := range Opcodes() {
+		if name != own && specTable[name].MatchForm(inst.Operands) != nil {
+			names = append(names, name)
 		}
-		b.WriteByte(';')
-		b.WriteString(itoa(o.Size))
-		b.WriteByte('|')
 	}
-	return b.String()
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return names
 }
