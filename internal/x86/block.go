@@ -19,13 +19,13 @@ func (inst Instruction) String() string {
 // prediction-cache key.
 func (inst Instruction) AppendText(dst []byte) []byte {
 	dst = append(dst, inst.Opcode...)
-	for i, o := range inst.Operands {
+	for i := range inst.Operands {
 		if i == 0 {
 			dst = append(dst, ' ')
 		} else {
 			dst = append(dst, ", "...)
 		}
-		dst = o.appendText(dst)
+		dst = inst.Operands[i].appendText(dst)
 	}
 	return dst
 }

@@ -73,7 +73,7 @@ func (m MemRef) AppendLocKey(dst []byte) []byte {
 // String renders the bracketed addressing expression in Intel syntax.
 func (m MemRef) String() string { return string(m.appendText(nil)) }
 
-func (m MemRef) appendText(dst []byte) []byte {
+func (m *MemRef) appendText(dst []byte) []byte {
 	dst = append(dst, '[')
 	start := len(dst)
 	if !m.Base.IsZero() {
@@ -181,7 +181,7 @@ var qualifierSize = map[string]int{
 // String renders the operand in Intel syntax.
 func (o Operand) String() string { return string(o.appendText(nil)) }
 
-func (o Operand) appendText(dst []byte) []byte {
+func (o *Operand) appendText(dst []byte) []byte {
 	switch o.Kind {
 	case KindReg:
 		return appendReg(dst, o.Reg)

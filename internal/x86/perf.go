@@ -211,12 +211,15 @@ func PerfOf(a Arch, inst Instruction) Perf {
 	if !ok {
 		return Perf{Lat: 1, RThru: 1, Ports: Port(0)}
 	}
+	return perfOf(a, spec, inst)
+}
+
+func perfOf(a Arch, spec *Spec, inst Instruction) Perf {
 	size := 0
 	if len(inst.Operands) > 0 {
 		size = inst.Operands[0].Size
 	}
-	p := classPerf(a, spec.Class)
-	return opcodePerfOverride(a, inst.Opcode, size, p)
+	return opcodePerfOverride(a, inst.Opcode, size, classPerf(a, spec.Class))
 }
 
 // InstThroughput returns the standalone reciprocal throughput of the
@@ -229,8 +232,7 @@ func InstThroughput(a Arch, inst Instruction) float64 {
 	if !ok {
 		return 1
 	}
-	p := PerfOf(a, inst)
-	t := p.RThru
+	t := perfOf(a, spec, inst).RThru
 	loads, stores := memAccessCounts(spec, inst)
 	// A load or store uop binds one of two (load) / one (store-data) ports.
 	if loads > 0 && float64(loads)*0.5 > t {

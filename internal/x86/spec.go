@@ -87,8 +87,8 @@ func (f Form) Match(ops []Operand) bool {
 		return false
 	}
 	memCount := 0
-	for i, t := range f.Ops {
-		o := ops[i]
+	for i := range f.Ops {
+		t, o := &f.Ops[i], &ops[i] // by pointer: both structs are large and Match is hot
 		if !kindAllowed(t.Kinds, o.Kind) {
 			return false
 		}
@@ -551,6 +551,9 @@ func buildSpecTable() map[string]*Spec {
 
 // Lookup returns the spec for an opcode mnemonic, case-insensitively.
 func Lookup(opcode string) (*Spec, bool) {
+	if s, ok := specTable[opcode]; ok { // canonical mnemonics are lower-case
+		return s, ok
+	}
 	s, ok := specTable[strings.ToLower(opcode)]
 	return s, ok
 }
