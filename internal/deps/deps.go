@@ -102,8 +102,8 @@ const (
 	flagsBit = 63
 )
 
-// Access is one instruction's reads and writes.
-type Access struct {
+// access is one instruction's reads and writes.
+type access struct {
 	reads, writes uint64 // access bits
 	mem           Loc    // slot of the memory operand, when memBit is set
 }
@@ -111,8 +111,8 @@ type Access struct {
 // Table is a block's access table: every instruction's reads and writes
 // in the block's location namespace.
 type Table struct {
-	Access []Access
-	mems   []x86.MemRef // canonical expression of each memory slot, in slot order
+	acc  []access
+	mems []x86.MemRef // canonical expression of each memory slot, in slot order
 }
 
 // canonical keeps what LocKey renders of a memory expression, so equal
@@ -159,12 +159,12 @@ func (t *Table) LocName(l Loc) string {
 
 // AppendReads appends instruction i's read locations, in order, to dst.
 func (t *Table) AppendReads(dst []Loc, i int) []Loc {
-	return t.appendLocs(dst, t.Access[i].reads, t.Access[i].mem)
+	return t.appendLocs(dst, t.acc[i].reads, t.acc[i].mem)
 }
 
 // AppendWrites appends instruction i's written locations to dst.
 func (t *Table) AppendWrites(dst []Loc, i int) []Loc {
-	return t.appendLocs(dst, t.Access[i].writes, t.Access[i].mem)
+	return t.appendLocs(dst, t.acc[i].writes, t.acc[i].mem)
 }
 
 func (t *Table) appendLocs(dst []Loc, set uint64, mem Loc) []Loc {
@@ -190,9 +190,9 @@ func (t *Table) loc(bit int, mem Loc) Loc {
 // explicit operands (with per-form access), address-component register
 // reads, implicit register accesses, stack effects and flags.
 func NewTable(b *x86.BasicBlock, opts Options) (Table, error) {
-	t := Table{Access: make([]Access, b.Len())}
+	t := Table{acc: make([]access, b.Len())}
 	for i, inst := range b.Instructions {
-		if err := t.fillInst(&t.Access[i], inst, opts); err != nil {
+		if err := t.fillInst(&t.acc[i], inst, opts); err != nil {
 			return Table{}, fmt.Errorf("instruction %d: %w", i+1, err)
 		}
 	}
@@ -200,7 +200,7 @@ func NewTable(b *x86.BasicBlock, opts Options) (Table, error) {
 	return t, nil
 }
 
-func (t *Table) fillInst(a *Access, inst x86.Instruction, opts Options) error {
+func (t *Table) fillInst(a *access, inst x86.Instruction, opts Options) error {
 	spec, ok := inst.Spec()
 	if !ok {
 		return fmt.Errorf("deps: unknown opcode %q", inst.Opcode)
@@ -269,7 +269,7 @@ func (t *Table) slot(m x86.MemRef) Loc {
 		}
 	}
 	if t.mems == nil {
-		t.mems = make([]x86.MemRef, 0, len(t.Access)) // one operand per instruction at most
+		t.mems = make([]x86.MemRef, 0, len(t.acc)) // one operand per instruction at most
 	}
 	t.mems = append(t.mems, k)
 	return MemBase + Loc(len(t.mems)-1)
@@ -285,8 +285,8 @@ func (t *Table) sortMems() {
 		var xb, yb [64]byte
 		return bytes.Compare(x.AppendLocKey(xb[:0]), y.AppendLocKey(yb[:0]))
 	})
-	for i := range t.Access {
-		if a := &t.Access[i]; (a.reads|a.writes)&(1<<memBit) != 0 {
+	for i := range t.acc {
+		if a := &t.acc[i]; (a.reads|a.writes)&(1<<memBit) != 0 {
 			a.mem = MemBase + Loc(slices.Index(t.mems, prev[a.mem-MemBase]))
 		}
 	}
@@ -309,7 +309,7 @@ func Build(b *x86.BasicBlock, opts Options) (*Graph, error) {
 // edge order. Under kill-based analysis a location written strictly
 // between i and j carries no edge from i to j.
 func (g *Graph) link(lastWriterOnly, emit bool) int {
-	acc := g.Access
+	acc := g.acc
 	count := 0
 	for i, a := range acc {
 		var killed uint64 // locations of a written since a

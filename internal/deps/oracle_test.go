@@ -8,6 +8,7 @@ import (
 
 	"github.com/comet-explain/comet/internal/bhive"
 	"github.com/comet-explain/comet/internal/deps"
+	"github.com/comet-explain/comet/internal/features"
 	"github.com/comet-explain/comet/internal/perturb"
 	"github.com/comet-explain/comet/internal/x86"
 )
@@ -200,8 +201,8 @@ func FuzzDepsBuild(f *testing.F) {
 			t.Fatalf("perturb.New on a parsed block: %v", err)
 		}
 		rng := rand.New(rand.NewSource(int64(len(src))))
-		for _, keep := range []int{0, 1} {
-			p.Sample(rng, p.Features()[:keep*len(p.Features())/2])
+		for _, preserve := range []features.Set{nil, p.Features()[:len(p.Features())/2]} {
+			p.Sample(rng, preserve)
 		}
 	})
 }

@@ -520,42 +520,27 @@ func (p *Perturber) freshFamily(rng *rand.Rand, old x86.Reg) x86.RegFamily {
 	} else {
 		return x86.FamNone
 	}
-	// Count the unused and the other candidates, then draw the k-th of
-	// the preferred group.
-	nUnused, nOthers := 0, 0
+	used := p.used
+	var unusedBuf, othersBuf [16]x86.RegFamily // a bank has 16 families
+	unused, others := unusedBuf[:0], othersBuf[:0]
 	for _, f := range pool {
 		if f == x86.FamRSP || f == old.Family {
 			continue
 		}
-		if p.uses(f) {
-			nOthers++
+		if used&(1<<uint(f)) != 0 {
+			others = append(others, f)
 		} else {
-			nUnused++
+			unused = append(unused, f)
 		}
 	}
-	wantUsed, k := false, 0
-	switch {
-	case nUnused > 0:
-		k = rng.Intn(nUnused)
-	case nOthers > 0:
-		wantUsed, k = true, rng.Intn(nOthers)
-	default:
-		return x86.FamNone
+	if len(unused) > 0 {
+		return unused[rng.Intn(len(unused))]
 	}
-	for _, f := range pool {
-		if f == x86.FamRSP || f == old.Family || p.uses(f) != wantUsed {
-			continue
-		}
-		if k == 0 {
-			return f
-		}
-		k--
+	if len(others) > 0 {
+		return others[rng.Intn(len(others))]
 	}
 	return x86.FamNone
 }
-
-// uses reports whether the original block touches register family f.
-func (p *Perturber) uses(f x86.RegFamily) bool { return p.used&(1<<uint(f)) != 0 }
 
 // randomRegLike returns a random register with old's bank and width
 // (for the WholeInstruction ablation scheme).

@@ -77,13 +77,13 @@ func (m *MemRef) appendText(dst []byte) []byte {
 	dst = append(dst, '[')
 	start := len(dst)
 	if !m.Base.IsZero() {
-		dst = appendReg(dst, m.Base)
+		dst = append(dst, m.Base.String()...)
 	}
 	if !m.Index.IsZero() {
 		if len(dst) > start {
 			dst = append(dst, " + "...)
 		}
-		dst = appendReg(dst, m.Index)
+		dst = append(dst, m.Index.String()...)
 		if m.Scale > 1 {
 			dst = append(dst, '*')
 			dst = strconv.AppendInt(dst, int64(m.Scale), 10)
@@ -101,13 +101,6 @@ func (m *MemRef) appendText(dst []byte) []byte {
 		dst = strconv.AppendInt(dst, m.Disp, 10)
 	}
 	return append(dst, ']')
-}
-
-func appendReg(dst []byte, r Reg) []byte {
-	if name := r.name(); name != "" {
-		return append(dst, name...)
-	}
-	return append(dst, r.String()...)
 }
 
 // Regs returns the register families the address expression reads.
@@ -149,24 +142,13 @@ func NewMem(m MemRef, size int) Operand { return Operand{Kind: KindMem, Mem: m, 
 // NewAddr returns a lea-style effective-address operand.
 func NewAddr(m MemRef) Operand { return Operand{Kind: KindAddr, Mem: m, Size: Size64} }
 
-// sizeQualifier returns the Intel-syntax width qualifier of a memory
-// operand, or "" for a width the ISA subset does not have.
-func sizeQualifier(size int) string {
-	switch size {
-	case Size8:
-		return "byte ptr"
-	case Size16:
-		return "word ptr"
-	case Size32:
-		return "dword ptr"
-	case Size64:
-		return "qword ptr"
-	case Size128:
-		return "xmmword ptr"
-	case Size256:
-		return "ymmword ptr"
-	}
-	return ""
+var sizeQualifier = map[int]string{
+	Size8:   "byte ptr",
+	Size16:  "word ptr",
+	Size32:  "dword ptr",
+	Size64:  "qword ptr",
+	Size128: "xmmword ptr",
+	Size256: "ymmword ptr",
 }
 
 var qualifierSize = map[string]int{
@@ -184,18 +166,15 @@ func (o Operand) String() string { return string(o.appendText(nil)) }
 func (o *Operand) appendText(dst []byte) []byte {
 	switch o.Kind {
 	case KindReg:
-		return appendReg(dst, o.Reg)
+		return append(dst, o.Reg.String()...)
 	case KindImm:
 		return strconv.AppendInt(dst, o.Imm, 10)
 	case KindMem:
-		if q := sizeQualifier(o.Size); q != "" {
-			dst = append(dst, q...)
-		} else {
-			dst = append(dst, "size"...)
-			dst = strconv.AppendInt(dst, int64(o.Size), 10)
-			dst = append(dst, " ptr"...)
+		q, ok := sizeQualifier[o.Size]
+		if !ok {
+			q = fmt.Sprintf("size%d ptr", o.Size)
 		}
-		dst = append(dst, ' ')
+		dst = append(append(dst, q...), ' ')
 		return o.Mem.appendText(dst)
 	case KindAddr:
 		return o.Mem.appendText(dst)

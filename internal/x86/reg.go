@@ -136,30 +136,17 @@ var vecNames = func() (names [16][2]string) {
 // String returns the canonical Intel-syntax name of the register
 // ("rax", "eax", "xmm3", "ymm3", ...).
 func (r Reg) String() string {
-	if name := r.name(); name != "" {
-		return name
-	}
-	switch {
-	case r.IsGP():
-		return fmt.Sprintf("<bad gp size %d>", r.Size)
-	case r.IsVec():
-		return fmt.Sprintf("<bad vec size %d>", r.Size)
-	}
-	return fmt.Sprintf("<bad reg %d/%d>", r.Family, r.Size)
-}
-
-// name returns the register's name from the static tables, or "" for a
-// malformed register.
-func (r Reg) name() string {
 	switch {
 	case r.IsZero():
 		return "<none>"
 	case r.Family == FamFlags:
 		return "rflags"
 	case r.IsGP():
-		if i := sizeIndex(r.Size); i >= 0 {
-			return gpNames[r.Family][i]
+		i := sizeIndex(r.Size)
+		if i < 0 {
+			return fmt.Sprintf("<bad gp size %d>", r.Size)
 		}
+		return gpNames[r.Family][i]
 	case r.IsVec():
 		switch r.Size {
 		case Size128:
@@ -167,8 +154,9 @@ func (r Reg) name() string {
 		case Size256:
 			return vecNames[r.Family-FamXMM0][1]
 		}
+		return fmt.Sprintf("<bad vec size %d>", r.Size)
 	}
-	return ""
+	return fmt.Sprintf("<bad reg %d/%d>", r.Family, r.Size)
 }
 
 var regByName = buildRegByName()

@@ -2,9 +2,6 @@ package x86
 
 import (
 	"math"
-	"math/rand"
-	"slices"
-	"sync"
 	"testing"
 )
 
@@ -55,39 +52,5 @@ func TestRenderEdgeCases(t *testing.T) {
 	}
 	if got := NewBlock().String(); got != "" {
 		t.Errorf("empty block renders %q", got)
-	}
-}
-
-// TestReplacementCandidatesConcurrent fills and reads the shared candidate
-// cache from several goroutines; every caller must see the lists a serial
-// caller sees, and none may see its own opcode.
-func TestReplacementCandidatesConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	insts := make([]Instruction, 200)
-	for i := range insts {
-		insts[i] = randomValidInstruction(rng)
-	}
-	got := make([][][]string, 4)
-	var wg sync.WaitGroup
-	for w := range got {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, inst := range insts {
-				got[w] = append(got[w], ReplacementCandidates(inst))
-			}
-		}(w)
-	}
-	wg.Wait()
-	for i, inst := range insts {
-		want := ReplacementCandidates(inst)
-		for w := range got {
-			if !slices.Equal(got[w][i], want) {
-				t.Fatalf("%s: goroutine %d saw %v, want %v", inst, w, got[w][i], want)
-			}
-		}
-		if slices.Contains(want, inst.Opcode) {
-			t.Errorf("%s: candidates include its own opcode", inst)
-		}
 	}
 }
