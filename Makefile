@@ -102,10 +102,10 @@ bench-baseline:
 
 # Brief native fuzzing of the frame scanner, the binary decoder, the
 # JSON wire types (starting from the committed corpus in
-# internal/wire/testdata/fuzz), the x86 decoder, and the dependency
-# builder against its brute-force oracle (seeded from generated blocks).
-# One -fuzz pattern per invocation: go test rejects multiple fuzz targets
-# in a single fuzzing run.
+# internal/wire/testdata/fuzz), the x86 decoder, and deps.Build against
+# its brute-force oracle (seeded from generated blocks). One -fuzz
+# pattern per invocation: go test rejects multiple fuzz targets in a
+# single fuzzing run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBinary$$' -fuzztime=30s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzScanFrames$$' -fuzztime=30s ./internal/wire
